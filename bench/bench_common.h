@@ -206,21 +206,6 @@ class BenchReporter {
   }
 
  private:
-  // Every MetricsSnapshot counter under its canonical field name, so
-  // the report schema tracks the snapshot (and docs/OPERATIONS.md
-  // glossary) automatically.
-  static void AppendCounters(std::string* out, const MetricsSnapshot& c) {
-    bool first = true;
-    c.ForEachCounter([&](const char* name, uint64_t v) {
-      if (!first) *out += ',';
-      first = false;
-      *out += '"';
-      *out += name;
-      *out += "\":";
-      *out += std::to_string(v);
-    });
-  }
-
   void WriteJsonReport() const {
     std::string j = "{\n";
     j += "\"bench\":\"" + trace::JsonEscape(name_) + "\",";
@@ -239,15 +224,20 @@ class BenchReporter {
       std::snprintf(buf, sizeof(buf), "%.3f", r.time_ms);
       j += std::string("\"time_ms\":") + buf + ",";
       j += "\"totals\":{";
-      AppendCounters(&j, r.totals);
+      AppendCounterMembers(&j, r.totals);
       j += "},\"stages\":[";
       for (size_t s = 0; s < r.stages.size(); ++s) {
         const StageStatsSnapshot& st = r.stages[s];
         j += (s ? "," : "");
         j += "{\"id\":" + std::to_string(st.id) + ",\"label\":\"" +
              trace::JsonEscape(st.label) + "\",\"kind\":\"" +
-             trace::JsonEscape(st.kind) + "\",";
-        AppendCounters(&j, st.counters);
+             trace::JsonEscape(st.kind) + "\",\"shuffle_bytes\":" +
+             std::to_string(st.counters.shuffle_bytes);
+        // shuffle_bytes (the first counter) is a fixed member of every
+        // stage, the report's per-stage key; the rest appear when nonzero.
+        MetricsSnapshot rest = st.counters;
+        rest.shuffle_bytes = 0;
+        AppendCounterMembers(&j, rest);
         std::snprintf(buf, sizeof(buf), "%.3f", st.wall_ms);
         j += std::string(",\"wall_ms\":") + buf;
         j += ",\"task_us\":{\"count\":" + std::to_string(st.task_us.count) +

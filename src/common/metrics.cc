@@ -1,8 +1,8 @@
 #include "src/common/metrics.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 namespace sac {
 
@@ -15,114 +15,80 @@ uint32_t ThreadShardSeed() {
       next.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
+
+/// The thread's current MetricSink (see MetricSink::Scope).
+const MetricSink*& TlsSink() {
+  thread_local const MetricSink* current = nullptr;
+  return current;
+}
 }  // namespace
 
 Metrics::Shard& Metrics::Local() {
   return shards_[ThreadShardSeed() & (kShards - 1)];
 }
 
+void AppendCounterMembers(std::string* out, const MetricsSnapshot& c) {
+  c.ForEachCounter([&](const char* name, uint64_t value) {
+    if (value == 0) return;
+    if (!out->empty() && out->back() != '{') *out += ',';
+    *out += '"';
+    *out += name;
+    *out += "\":";
+    *out += std::to_string(value);
+  });
+}
+
+void Metrics::Reset() {
+  for (Shard& s : shards_) {
+    for (std::atomic<uint64_t>& v : s.counts) {
+      v.store(0, std::memory_order_relaxed);
+    }
+  }
+  peak_resident_bytes_.store(0, std::memory_order_relaxed);
+}
+
+uint64_t Metrics::Get(Counter c) const {
+  if (IsGauge(c)) return peak_resident_bytes_.load(std::memory_order_relaxed);
+  uint64_t total = 0;
+  for (const Shard& s : shards_) {
+    total += s.counts[static_cast<size_t>(c)].load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 std::string MetricsSnapshot::ToString() const {
+  // Every nonzero counter as name=value, byte counters in MB.
   std::ostringstream os;
-  os << "shuffle=" << shuffle_bytes / (1024.0 * 1024.0) << "MB"
-     << " records=" << shuffle_records
-     << " cross_exec=" << cross_executor_bytes / (1024.0 * 1024.0) << "MB"
-     << " local=" << local_shuffle_bytes / (1024.0 * 1024.0) << "MB"
-     << " tasks=" << tasks_run << " recomputed=" << tasks_recomputed;
-  if (tasks_retried > 0 || faults_injected > 0) {
-    os << " retried=" << tasks_retried << " faults=" << faults_injected
-       << " backoff=" << retry_wait_us / 1000.0 << "ms";
-  }
-  if (checkpoint_bytes > 0 || checkpoint_restore_bytes > 0) {
-    os << " ckpt_out=" << checkpoint_bytes / (1024.0 * 1024.0) << "MB"
-       << " ckpt_in=" << checkpoint_restore_bytes / (1024.0 * 1024.0)
-       << "MB";
-  }
-  if (evictions > 0 || bytes_reloaded > 0 || reload_recomputes > 0) {
-    os << " evictions=" << evictions
-       << " evicted=" << bytes_evicted / (1024.0 * 1024.0) << "MB"
-       << " reloaded=" << bytes_reloaded / (1024.0 * 1024.0) << "MB"
-       << " reload_recomputes=" << reload_recomputes;
-  }
-  if (peak_resident_bytes > 0) {
-    os << " peak_resident=" << peak_resident_bytes / (1024.0 * 1024.0)
-       << "MB";
-  }
-  if (flops_generic > 0 || flops_packed > 0 || flops_jvmlike > 0) {
-    os << " mflops_generic=" << flops_generic / 1e6
-       << " mflops_packed=" << flops_packed / 1e6
-       << " mflops_jvmlike=" << flops_jvmlike / 1e6;
-  }
-  if (tile_allocs > 0) os << " tile_allocs=" << tile_allocs;
-  if (queries_admitted > 0) {
-    os << " queries_admitted=" << queries_admitted
-       << " queries_queued=" << queries_queued;
-  }
-  if (plan_cache_hits > 0 || plan_cache_misses > 0) {
-    os << " plan_cache_hits=" << plan_cache_hits
-       << " plan_cache_misses=" << plan_cache_misses
-       << " plan_cache_evictions=" << plan_cache_evictions;
-  }
-  if (dist_bytes_sent > 0 || dist_bytes_received > 0 || workers_lost > 0) {
-    os << " dist_tx=" << dist_bytes_sent / (1024.0 * 1024.0) << "MB"
-       << " dist_rx=" << dist_bytes_received / (1024.0 * 1024.0) << "MB"
-       << " workers_lost=" << workers_lost
-       << " reexecuted=" << partitions_reexecuted;
-  }
+  ForEachCounter([&](const char* name, uint64_t value) {
+    if (value == 0) return;
+    if (os.tellp() > 0) os << ' ';
+    os << name << '=';
+    if (std::string_view(name).ends_with("_bytes")) {
+      os << value / (1024.0 * 1024.0) << "MB";
+    } else {
+      os << value;
+    }
+  });
   return os.str();
 }
 
 MetricsSnapshot Metrics::Snapshot() const {
   MetricsSnapshot s;
-  s.shuffle_bytes = shuffle_bytes();
-  s.shuffle_records = shuffle_records();
-  s.cross_executor_bytes = cross_executor_bytes();
-  s.local_shuffle_bytes = local_shuffle_bytes();
-  s.tasks_run = tasks_run();
-  s.tasks_recomputed = tasks_recomputed();
-  s.records_processed = records_processed();
-  s.tasks_retried = tasks_retried();
-  s.retry_wait_us = retry_wait_us();
-  s.faults_injected = faults_injected();
-  s.checkpoint_bytes = checkpoint_bytes();
-  s.checkpoint_restore_bytes = checkpoint_restore_bytes();
-  s.evictions = evictions();
-  s.bytes_evicted = bytes_evicted();
-  s.bytes_reloaded = bytes_reloaded();
-  s.reload_recomputes = reload_recomputes();
-  s.peak_resident_bytes = peak_resident_bytes();
-  s.flops_generic = flops_generic();
-  s.flops_packed = flops_packed();
-  s.flops_jvmlike = flops_jvmlike();
-  s.tile_allocs = tile_allocs();
-  s.queries_admitted = queries_admitted();
-  s.queries_queued = queries_queued();
-  s.plan_cache_hits = plan_cache_hits();
-  s.plan_cache_misses = plan_cache_misses();
-  s.plan_cache_evictions = plan_cache_evictions();
-  s.dist_bytes_sent = dist_bytes_sent();
-  s.dist_bytes_received = dist_bytes_received();
-  s.workers_lost = workers_lost();
-  s.partitions_reexecuted = partitions_reexecuted();
+#define SAC_METRICS_READ(name) s.name = Get(Counter::name);
+  SAC_METRICS_FOR_EACH_COUNTER(SAC_METRICS_READ)
+#undef SAC_METRICS_READ
   return s;
 }
 
 std::string Metrics::ToString() const { return Snapshot().ToString(); }
 
-std::string StageStatsSnapshot::ToString() const {
-  std::ostringstream os;
-  os << "#" << id << " " << label << " [" << kind << "]"
-     << " tasks=" << counters.tasks_run
-     << " records_in=" << counters.records_processed
-     << " shuffle=" << counters.shuffle_bytes / (1024.0 * 1024.0) << "MB"
-     << " cross=" << counters.cross_executor_bytes / (1024.0 * 1024.0)
-     << "MB local=" << counters.local_shuffle_bytes / (1024.0 * 1024.0)
-     << "MB recomputed=" << counters.tasks_recomputed;
-  if (counters.tasks_retried > 0) {
-    os << " retried=" << counters.tasks_retried
-       << " backoff=" << counters.retry_wait_us / 1000.0 << "ms";
-  }
-  return os.str();
+const MetricSink* MetricSink::Current() { return TlsSink(); }
+
+MetricSink::Scope::Scope(const MetricSink* sink) : prev_(TlsSink()) {
+  TlsSink() = sink;
 }
+
+MetricSink::Scope::~Scope() { TlsSink() = prev_; }
 
 StageStatsSnapshot StageStats::Snapshot() const {
   StageStatsSnapshot s;

@@ -63,19 +63,6 @@ void AppendF(std::string* out, double v) {
   *out += buf;
 }
 
-void AppendCounters(std::string* out, const MetricsSnapshot& c) {
-  *out += "{";
-  bool first = true;
-  c.ForEachCounter([&](const char* name, uint64_t value) {
-    if (!first) *out += ",";
-    first = false;
-    *out += "\"";
-    *out += name;
-    *out += "\":" + std::to_string(value);
-  });
-  *out += "}";
-}
-
 }  // namespace
 
 Profile BuildProfile(ProfileInputs in) {
@@ -290,8 +277,9 @@ std::string Profile::ToJson() const {
   out += ",\"coverage_pct\":";
   AppendF(&out, coverage_pct);
   out += ",\"dropped_trace_events\":" + std::to_string(dropped_trace_events);
-  out += ",\"totals\":";
-  AppendCounters(&out, totals);
+  out += ",\"totals\":{";
+  AppendCounterMembers(&out, totals);
+  out += "}";
   out += ",\"stages\":[";
   for (size_t i = 0; i < stages.size(); ++i) {
     const StageProfile& s = stages[i];
@@ -312,8 +300,9 @@ std::string Profile::ToJson() const {
     out += ",\"task_p95_us\":" + std::to_string(s.task_p95_us);
     out += ",\"longest_task_us\":" + std::to_string(s.longest_task_us);
     if (s.has_counters) {
-      out += ",\"counters\":";
-      AppendCounters(&out, s.counters);
+      out += ",\"counters\":{";
+      AppendCounterMembers(&out, s.counters);
+      out += "}";
     }
     out += ",\"phases\":[";
     for (size_t j = 0; j < s.phases.size(); ++j) {

@@ -20,7 +20,8 @@
 //    the map side from lineage (partitions_reexecuted).
 //
 // Wire traffic is metered into dist_bytes_sent / dist_bytes_received on
-// the stage's StageStats when one is given, else on the engine totals.
+// the stage's MetricSink for bucket RPCs that name one, else (heartbeats,
+// worker shutdown, stageless calls) on the engine totals.
 #ifndef SAC_DIST_COORDINATOR_H_
 #define SAC_DIST_COORDINATOR_H_
 
@@ -97,23 +98,26 @@ class Coordinator {
   }
 
   // ---- bucket RPCs ----------------------------------------------------
+  // Each meters its wire bytes on `sink` (the calling stage's), or on
+  // the engine totals when it is null.
+
   /// Stores `bytes` as `id` on the worker hosting executor
   /// `dest_executor`. Retries with backoff across deaths (re-placing
   /// each attempt); fails only when no worker is left or attempts run
   /// out.
-  Status PushBucket(StageStats* stats, const BucketId& id,
+  Status PushBucket(const MetricSink* sink, const BucketId& id,
                     int dest_executor, const std::vector<uint8_t>& bytes);
 
   /// Fetches `id` from the worker hosting executor `dest_executor`.
   /// DataLoss means the bucket died with a worker: re-execute its map
   /// side and re-push, then fetch again.
-  Result<std::vector<uint8_t>> FetchBucket(StageStats* stats,
+  Result<std::vector<uint8_t>> FetchBucket(const MetricSink* sink,
                                            const BucketId& id,
                                            int dest_executor);
 
   /// Frees shuffle `sid`'s buckets on every live worker. Best-effort:
   /// a dead worker's buckets died with it.
-  void DropShuffle(uint64_t sid);
+  void DropShuffle(uint64_t sid, const MetricSink* sink = nullptr);
 
   /// Asks every live worker process to exit (sac_worker honors it;
   /// in-process workers just set a flag). Best-effort.
@@ -130,19 +134,18 @@ class Coordinator {
  private:
   /// One raw RPC to a fixed worker, metering wire bytes. kError frames
   /// decode into their carried Status.
-  Result<net::Frame> CallWorker(StageStats* stats, int worker,
+  Result<net::Frame> CallWorker(const MetricSink& sink, int worker,
                                 const net::Frame& req);
   /// The RPC retry loop: resolve the executor's worker, call, and on an
   /// Unavailable answer mark the worker dead, back off, re-place, and
   /// try again. Non-Unavailable errors return immediately.
-  Result<net::Frame> CallExecutor(StageStats* stats, int executor,
+  Result<net::Frame> CallExecutor(const MetricSink& sink, int executor,
                                   const net::Frame& req);
-  void MeterDist(StageStats* stats, uint64_t sent, uint64_t received);
   void HeartbeatLoop();
 
   std::unique_ptr<net::Transport> transport_;
   const CoordinatorOptions opts_;
-  Metrics* totals_;
+  const MetricSink totals_;
   trace::Tracer* tracer_;
 
   mutable std::mutex mu_;  // guards alive_ / pids_ / missed_ms_

@@ -12,8 +12,7 @@
 //
 // Selection: ClusterConfig::kernel_backend / SAC_KERNEL_BACKEND, resolved
 // once at Engine construction (default "packed"). The MLlib baseline
-// series additionally pins jvmlike via PlannerOptions::use_jvmlike_kernels
-// regardless of the engine backend.
+// (src/baseline/block_matrix.cc) calls the jvmlike kernels directly.
 //
 // Numerics: all three backends accumulate GEMM with the same per-element
 // order (accumulator loaded from C, k ascending, no k-blocking), so
@@ -28,7 +27,7 @@
 #include "src/la/tile.h"
 
 namespace sac {
-class Metrics;
+class MetricSink;
 }  // namespace sac
 
 namespace sac::la {
@@ -83,8 +82,8 @@ std::string_view BackendName(BackendKind kind);
 uint64_t GemmFlops(const Tile& a, const Tile& b);
 
 /// Credits `flops` to the per-backend flop counter (flops_generic /
-/// flops_packed / flops_jvmlike). No-op when metrics is null.
-void MeterFlops(Metrics* metrics, BackendKind kind, uint64_t flops);
+/// flops_packed / flops_jvmlike) on `sink`.
+void MeterFlops(const MetricSink& sink, BackendKind kind, uint64_t flops);
 
 }  // namespace sac::la
 

@@ -175,12 +175,14 @@ void TcpServer::Stop() {
     // out from under this shutdown sweep).
     for (int fd : conns_) ::shutdown(fd, SHUT_RDWR);
   }
+  // shutdown() wakes the blocked accept(); the fd is closed and cleared
+  // only after the accept thread, which reads listen_fd_, has exited.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(mu_);

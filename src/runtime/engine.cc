@@ -387,8 +387,9 @@ Status Engine::SetupDistributed() {
   return Status::OK();
 }
 
-Status Engine::PushShuffleBuckets(StageStats* stats, uint64_t shuffle_id,
-                                  int p, int src, ShuffleBuckets* bs) {
+Status Engine::PushShuffleBuckets(const MetricSink& sink,
+                                  uint64_t shuffle_id, int p, int src,
+                                  ShuffleBuckets* bs) {
   const int num_dest = static_cast<int>(bs->remote_by_dest.size());
   for (int d = 0; d < num_dest; ++d) {
     if (bs->local_by_dest[d]) continue;  // zero-copy, stays in the driver
@@ -399,7 +400,7 @@ Status Engine::PushShuffleBuckets(StageStats* stats, uint64_t shuffle_id,
     id.dest = d;
     // Empty buckets are pushed too: a missing bucket on the reduce side
     // then always means loss, never "nothing was sent".
-    SAC_RETURN_NOT_OK(coord_->PushBucket(stats, id, ExecutorOf(d),
+    SAC_RETURN_NOT_OK(coord_->PushBucket(&sink, id, ExecutorOf(d),
                                          *bs->remote_by_dest[d]));
     // Release the driver-side buffer; the worker's copy is now the only
     // one, so the reduce side must fetch it over the transport (and its
@@ -455,34 +456,23 @@ void Engine::SampleOnce() {
 }
 
 void Engine::MeterBlockEvent(const memory::BlockEvent& ev) {
-  StageStats* stats = stages_.Get(ev.stage);
+  const MetricSink sink = SinkFor(stages_.Get(ev.stage));
   switch (ev.kind) {
     case memory::BlockEvent::Kind::kEvict:
-      if (stats) {
-        stats->AddEviction(ev.bytes);
-      } else {
-        metrics_.AddEviction(ev.bytes);
-      }
+      sink.Add(Counter::evictions);
+      sink.Add(Counter::bytes_evicted, ev.bytes);
       tracer_.Instant("evict:" + ev.label, "memory", 0,
                       {{"partition", ev.part},
                        {"bytes", static_cast<int64_t>(ev.bytes)}});
       break;
     case memory::BlockEvent::Kind::kReload:
-      if (stats) {
-        stats->AddReload(ev.bytes);
-      } else {
-        metrics_.AddReload(ev.bytes);
-      }
+      sink.Add(Counter::bytes_reloaded, ev.bytes);
       tracer_.Instant("reload:" + ev.label, "memory", 0,
                       {{"partition", ev.part},
                        {"bytes", static_cast<int64_t>(ev.bytes)}});
       break;
     case memory::BlockEvent::Kind::kReloadRecompute:
-      if (stats) {
-        stats->AddReloadRecompute();
-      } else {
-        metrics_.AddReloadRecompute();
-      }
+      sink.Add(Counter::reload_recomputes);
       tracer_.Instant("reload:" + ev.label, "memory", 0,
                       {{"partition", ev.part}, {"recompute", 1}});
       break;
@@ -654,11 +644,7 @@ Status Engine::ParallelParts(const TaskContext& ctx, int n,
                                std::to_string(i) + "]",
                            "task", ctx.parent_span);
     Stopwatch sw;
-    if (ctx.stats) {
-      ctx.stats->AddTask();
-    } else {
-      metrics_.AddTask();
-    }
+    ctx.sink.Add(Counter::tasks_run);
     Status st = RunTaskWithRetry(ctx, static_cast<int>(i), fn);
     if (ctx.stats) ctx.stats->RecordTaskMicros(sw.ElapsedMicros());
     if (!st.ok()) {
@@ -674,11 +660,7 @@ Status Engine::CheckFault(recovery::FaultPoint point, const TaskContext& ctx,
   if (fault_plan_.empty()) return Status::OK();
   Status st = fault_plan_.Check(point, ctx.label, part, attempt);
   if (!st.ok()) {
-    if (ctx.stats) {
-      ctx.stats->AddFault();
-    } else {
-      metrics_.AddFault();
-    }
+    ctx.sink.Add(Counter::faults_injected);
     tracer_.Instant("fault:" + ctx.label, "fault", ctx.parent_span,
                     {{"partition", part}, {"attempt", attempt}});
     SAC_LOG(Info) << st.message();
@@ -688,6 +670,7 @@ Status Engine::CheckFault(recovery::FaultPoint point, const TaskContext& ctx,
 
 Status Engine::RunTaskWithRetry(const TaskContext& ctx, int part,
                                 const TaskAttemptFn& fn) {
+  const MetricSink::Scope sink_scope(&ctx.sink);
   const int max_attempts = config_.max_task_attempts;
   Status last;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
@@ -703,11 +686,8 @@ Status Engine::RunTaskWithRetry(const TaskContext& ctx, int part,
       if (delay_us > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
       }
-      if (ctx.stats) {
-        ctx.stats->AddRetry(delay_us);
-      } else {
-        metrics_.AddRetry(delay_us);
-      }
+      ctx.sink.Add(Counter::tasks_retried);
+      ctx.sink.Add(Counter::retry_wait_us, delay_us);
       tracer_.Instant("retry:" + ctx.label, "retry", ctx.parent_span,
                       {{"partition", part},
                        {"attempt", attempt},
@@ -847,7 +827,7 @@ Result<Dataset> Engine::MapPartitions(const Dataset& in, PartitionFn fn,
         SAC_RETURN_NOT_OK(fn(pin.rows(), &tmp));
         SAC_RETURN_NOT_OK(
             CheckFault(recovery::FaultPoint::kMidMap, ctx, i, attempt));
-        AddRecordsTo(stats, pin.rows().size());
+        ctx.sink.Add(Counter::records_processed, pin.rows().size());
         return PublishPartition(ds.get(), i, std::move(tmp));
       }));
   if (stats) {
@@ -886,7 +866,6 @@ Result<Engine::ShuffleBuckets> Engine::BucketRows(const TaskContext& ctx,
                                                   Partition rows,
                                                   int src_part,
                                                   int num_dest, int attempt) {
-  StageStats* stats = ctx.stats;
   ShuffleBuckets buckets;
   buckets.remote_by_dest.resize(num_dest);
   buckets.local_by_dest.resize(num_dest);
@@ -941,26 +920,20 @@ Result<Engine::ShuffleBuckets> Engine::BucketRows(const TaskContext& ctx,
     ++buckets.records;
   }
 
-  auto add_shuffle = [&](uint64_t bytes, uint64_t records, bool cross) {
-    if (stats) {
-      stats->AddShuffle(bytes, records, cross);
-    } else {
-      metrics_.AddShuffle(bytes, records, cross);
-    }
-  };
+  uint64_t local = 0, remote = 0, cross = 0;
   for (int d = 0; d < num_dest; ++d) {
     if (local_dest[d]) {
-      if (stats) {
-        stats->AddLocalShuffle(local_bytes[d]);
-      } else {
-        metrics_.AddLocalShuffle(local_bytes[d]);
-      }
+      local += local_bytes[d];
     } else {
-      add_shuffle(buckets.remote_by_dest[d]->size(), 0,
-                  ExecutorOf(src_part) != ExecutorOf(d));
+      const uint64_t bytes = buckets.remote_by_dest[d]->size();
+      remote += bytes;
+      if (ExecutorOf(src_part) != ExecutorOf(d)) cross += bytes;
     }
   }
-  add_shuffle(0, buckets.records, false);
+  ctx.sink.Add(Counter::local_shuffle_bytes, local);
+  ctx.sink.Add(Counter::shuffle_bytes, remote);
+  ctx.sink.Add(Counter::cross_executor_bytes, cross);
+  ctx.sink.Add(Counter::shuffle_records, buckets.records);
   return buckets;
 }
 
@@ -985,6 +958,7 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
   const int num_dest = ds->num_partitions();
   const int num_parents = static_cast<int>(ds->parents_.size());
   StageStats* stats = StatsFor(ds);
+  const MetricSink sink = SinkFor(stats);
   trace::ScopedSpan stage_span(
       &tracer_, only_dest < 0 ? ds->label_ : ds->label_ + ":recover",
       "stage");
@@ -1022,9 +996,9 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
                                BucketRows(write_ctx, std::move(combined), s,
                                           num_dest, attempt));
           if (coord_) {
-            SAC_RETURN_NOT_OK(PushShuffleBuckets(stats, sid, p, s, &bs));
+            SAC_RETURN_NOT_OK(PushShuffleBuckets(sink, sid, p, s, &bs));
           }
-          AddRecordsTo(stats, pin.rows().size());
+          sink.Add(Counter::records_processed, pin.rows().size());
           buckets[p][s] = std::move(bs);
           return Status::OK();
         }));
@@ -1057,12 +1031,8 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
     // never left driver memory, so the fresh copies are discarded with
     // `fresh` (the map side is deterministic -- identical bytes either
     // way).
-    SAC_RETURN_NOT_OK(PushShuffleBuckets(stats, sid, p, s, &fresh));
-    if (stats) {
-      stats->AddReexecutedPartition();
-    } else {
-      metrics_.AddReexecutedPartition();
-    }
+    SAC_RETURN_NOT_OK(PushShuffleBuckets(sink, sid, p, s, &fresh));
+    sink.Add(Counter::partitions_reexecuted);
     tracer_.Instant("reexec:" + ds->label_, "dist", stage_span.id(),
                     {{"parent", p}, {"src", s}});
     reexec_epoch[key] = epoch;
@@ -1080,7 +1050,7 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
     Status last = Status::OK();
     for (int round = 0; round < max_rounds; ++round) {
       Result<std::vector<uint8_t>> got =
-          coord_->FetchBucket(stats, id, ExecutorOf(d));
+          coord_->FetchBucket(&sink, id, ExecutorOf(d));
       if (got.ok()) return got;
       if (got.status().code() != StatusCode::kDataLoss) return got;
       last = got.status();
@@ -1149,7 +1119,7 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
   }
   // The stage is folded; free its buckets on the workers (best-effort --
   // a dead worker's buckets died with it).
-  if (coord_) coord_->DropShuffle(sid);
+  if (coord_) coord_->DropShuffle(sid, &sink);
   if (stats) {
     stats->AddWallMicros(stage_sw.ElapsedMicros());
     const MetricsSnapshot c = stats->counters().Snapshot();
@@ -1388,11 +1358,7 @@ Status Engine::Checkpoint(const Dataset& ds, const std::string& dir) {
         SAC_ASSIGN_OR_RETURN(uint64_t bytes,
                              storage::WriteSpill(paths[i], pin.rows()));
         total_bytes.fetch_add(bytes, std::memory_order_relaxed);
-        if (stats) {
-          stats->AddCheckpointWrite(bytes);
-        } else {
-          metrics_.AddCheckpointWrite(bytes);
-        }
+        ctx.sink.Add(Counter::checkpoint_bytes, bytes);
         return Status::OK();
       });
   if (!st.ok()) {
@@ -1418,11 +1384,8 @@ Status Engine::Checkpoint(const Dataset& ds, const std::string& dir) {
     uint64_t bytes = 0;
     SAC_ASSIGN_OR_RETURN(ValueVec rows,
                          storage::ReadSpill(paths[out], &bytes));
-    if (StageStats* s = eng->StatsFor(self)) {
-      s->AddCheckpointRestore(bytes);
-    } else {
-      eng->metrics_.AddCheckpointRestore(bytes);
-    }
+    eng->SinkFor(eng->StatsFor(self))
+        .Add(Counter::checkpoint_restore_bytes, bytes);
     return eng->PublishPartition(self, out, std::move(rows));
   };
   if (stats) stats->AddWallMicros(sw.ElapsedMicros());
@@ -1522,11 +1485,7 @@ Status Engine::VerifyLineage(const Dataset& ds) {
 }
 
 Status Engine::RecomputePartition(DatasetImpl* ds, int i) {
-  if (StageStats* stats = StatsFor(ds)) {
-    stats->AddRecompute();
-  } else {
-    metrics_.AddRecompute();
-  }
+  SinkFor(StatsFor(ds)).Add(Counter::tasks_recomputed);
   tracer_.Instant("recompute:" + ds->label_, "recompute", 0,
                   {{"partition", i}, {"stage", ds->stage_.id}});
   switch (ds->kind_) {
@@ -1536,13 +1495,13 @@ Status Engine::RecomputePartition(DatasetImpl* ds, int i) {
             "lost partition of non-regenerable source '" + ds->label_ + "'");
       }
       // Regeneration (and checkpoint restore) runs under the retry policy.
-      const TaskContext ctx{StatsFor(ds), 0, ds->label_, "recompute"};
+      const TaskContext ctx = ContextFor(ds, 0, "recompute");
       return RunTaskWithRetry(
           ctx, i, [&](int part, int) { return ds->wide_fn_(this, ds, part); });
     }
     case DatasetImpl::OpKind::kNarrow: {
       DatasetImpl* parent = ds->parents_[0].get();
-      const TaskContext ctx{StatsFor(ds), 0, ds->label_, "recompute"};
+      const TaskContext ctx = ContextFor(ds, 0, "recompute");
       return RunTaskWithRetry(
           ctx, i, [&](int part, int attempt) -> Status {
             // PinPartition recomputes the parent if it is unavailable

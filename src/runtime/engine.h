@@ -267,14 +267,22 @@ class Engine {
 
   const ClusterConfig& config() const { return config_; }
   Metrics& metrics() { return metrics_; }
+  /// Where counters metered from inside a running task land: the task's
+  /// stage sink (stage, totals, session), installed for the task's
+  /// duration by the retry loop every task runs under; the engine totals
+  /// outside any task. Planner run closures meter kernel flops and tile
+  /// allocations here.
+  MetricSink TaskSink() {
+    const MetricSink* current = MetricSink::Current();
+    return current != nullptr ? *current : MetricSink(&metrics_);
+  }
   StageRegistry& stages() { return stages_; }
   trace::Tracer& tracer() { return tracer_; }
   ThreadPool& pool() { return pool_; }
 
   /// Kernel backend resolved at construction from SAC_KERNEL_BACKEND /
-  /// config.kernel_backend (never null; see docs/KERNELS.md). The MLlib
-  /// baseline path overrides this per-query via
-  /// PlannerOptions::use_jvmlike_kernels.
+  /// config.kernel_backend (never null; see docs/KERNELS.md). Every
+  /// planner run closure dispatches through it.
   const la::KernelBackend* kernel_backend() const { return kernel_backend_; }
 
   /// The memory manager + block store enforcing
@@ -493,13 +501,20 @@ class Engine {
 
   /// Per-stage attribution of `ds`'s tasks/bytes; nullptr after a
   /// StageRegistry::Reset() that predates the dataset (totals still
-  /// accumulate via Metrics directly in that case).
+  /// accumulate via SinkFor in that case).
   StageStats* StatsFor(DatasetImpl* ds) { return stages_.Get(ds->stage_); }
+
+  /// The sink a stage meters into: its own fan-out, or the bare totals
+  /// when the stage is gone (stats == nullptr).
+  MetricSink SinkFor(StageStats* stats) {
+    return stats != nullptr ? stats->sink() : MetricSink(&metrics_);
+  }
 
   /// Context threaded through ParallelParts so each partition task is
   /// attributed (metrics) and traced (span) against the right stage.
   struct TaskContext {
-    StageStats* stats = nullptr;    // stage to charge tasks/durations to
+    StageStats* stats = nullptr;    // stage to charge durations to
+    MetricSink sink;                // SinkFor(stats): where counters land
     uint64_t parent_span = 0;       // stage span enclosing the tasks
     std::string label;              // stage label, prefixes task names
     const char* phase = "task";     // "task" | "shuffle-write" | ...
@@ -509,17 +524,10 @@ class Engine {
   };
   TaskContext ContextFor(DatasetImpl* ds, uint64_t parent_span,
                          const char* phase = "task") {
-    return TaskContext{StatsFor(ds), parent_span, ds->label_, phase,
+    StageStats* stats = StatsFor(ds);
+    return TaskContext{stats, SinkFor(stats), parent_span, ds->label_, phase,
                        ds->session_ ? ds->session_->queue()
                                     : ThreadPool::kDefaultQueue};
-  }
-
-  void AddRecordsTo(StageStats* stats, uint64_t n) {
-    if (stats) {
-      stats->AddRecords(n);
-    } else {
-      metrics_.AddRecords(n);
-    }
   }
 
   /// Creates, executes and wires up a wide (shuffling) operator.
@@ -547,14 +555,16 @@ class Engine {
   /// kPreRun, run fn, and on an *injected* failure (kCancelled) sleep
   /// base*2^(k-1) (capped) and try again, up to
   /// config().max_task_attempts. Retries and backoff time are metered
-  /// (AddRetry) and traced as "retry:<label>" instants; exhausting the
-  /// budget surfaces a RuntimeError naming the task. Real task errors
-  /// pass through untouched on the first attempt.
+  /// (tasks_retried / retry_wait_us) and traced as "retry:<label>"
+  /// instants; exhausting the budget surfaces a RuntimeError naming the
+  /// task. Real task errors pass through untouched on the first attempt.
+  /// ctx.sink is the thread's MetricSink::Current() throughout, so code
+  /// the task calls (TaskSink) meters into the task's stage.
   Status RunTaskWithRetry(const TaskContext& ctx, int part,
                           const TaskAttemptFn& fn);
 
   /// Consults the fault plan at `point` for (ctx.label, part, attempt),
-  /// metering an injected fault into ctx.stats.
+  /// metering an injected fault into ctx.sink.
   Status CheckFault(recovery::FaultPoint point, const TaskContext& ctx,
                     int part, int attempt);
 
@@ -672,8 +682,8 @@ class Engine {
   /// the driver-side buffer -- in distributed mode remote bucket bytes
   /// live on workers, so every cross-executor byte crosses the
   /// transport. Local (same-executor) buckets stay in driver memory.
-  Status PushShuffleBuckets(StageStats* stats, uint64_t shuffle_id, int p,
-                            int src, ShuffleBuckets* bs);
+  Status PushShuffleBuckets(const MetricSink& sink, uint64_t shuffle_id,
+                            int p, int src, ShuffleBuckets* bs);
 
   // ---- Time-series sampler (ClusterConfig::sample_interval_us) --------
   /// Starts the sampler thread when the configured interval is > 0.

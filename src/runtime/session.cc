@@ -29,8 +29,9 @@ AdmissionGate::Ticket AdmissionGate::Admit(Metrics* session) {
     }
     ++live_;
   }
-  if (metrics_ != nullptr) metrics_->AddQueryAdmitted(queued);
-  if (session != nullptr) session->AddQueryAdmitted(queued);
+  const MetricSink sink(metrics_, session);
+  sink.Add(Counter::queries_admitted);
+  if (queued) sink.Add(Counter::queries_queued);
   return Ticket(this);
 }
 

@@ -60,11 +60,14 @@ TEST(RngTest, NextBelowCoversRange) {
 
 TEST(MetricsTest, CountersAccumulateAndReset) {
   Metrics m;
-  m.AddShuffle(1024, 10, true);
-  m.AddShuffle(512, 5, false);
-  m.AddTask();
-  m.AddRecompute();
-  m.AddRecords(100);
+  m.Add(Counter::shuffle_bytes, 1024);
+  m.Add(Counter::shuffle_records, 10);
+  m.Add(Counter::cross_executor_bytes, 1024);
+  m.Add(Counter::shuffle_bytes, 512);
+  m.Add(Counter::shuffle_records, 5);
+  m.Add(Counter::tasks_run);
+  m.Add(Counter::tasks_recomputed);
+  m.Add(Counter::records_processed, 100);
   EXPECT_EQ(m.shuffle_bytes(), 1536u);
   EXPECT_EQ(m.shuffle_records(), 15u);
   EXPECT_EQ(m.cross_executor_bytes(), 1024u);
@@ -81,7 +84,10 @@ TEST(MetricsTest, ThreadSafeAccumulation) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&m] {
-      for (int i = 0; i < 1000; ++i) m.AddShuffle(1, 1, false);
+      for (int i = 0; i < 1000; ++i) {
+        m.Add(Counter::shuffle_bytes, 1);
+        m.Add(Counter::shuffle_records, 1);
+      }
     });
   }
   for (auto& t : threads) t.join();
@@ -90,7 +96,9 @@ TEST(MetricsTest, ThreadSafeAccumulation) {
 
 TEST(MetricsTest, ToStringMentionsVolume) {
   Metrics m;
-  m.AddShuffle(2 * 1024 * 1024, 3, true);
+  m.Add(Counter::shuffle_bytes, 2 * 1024 * 1024);
+  m.Add(Counter::shuffle_records, 3);
+  m.Add(Counter::cross_executor_bytes, 2 * 1024 * 1024);
   EXPECT_NE(m.ToString().find("2"), std::string::npos);
   EXPECT_NE(m.ToString().find("MB"), std::string::npos);
 }

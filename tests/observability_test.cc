@@ -5,10 +5,13 @@
 // human-readable reports.
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/api/algorithms.h"
+#include "src/api/sac.h"
 #include "src/runtime/engine.h"
 #include "tests/test_json.h"
 
@@ -248,6 +251,52 @@ TEST_F(ObservabilityTest, ReportStringListsStagesAndResetClears) {
   for (const StageStatsSnapshot& s : eng_.stages().Snapshot()) {
     EXPECT_EQ(s.counters.tasks_recomputed, 0u);
   }
+}
+
+// Every counter except the documented totals-only ones rolls up
+// exactly: its sum over StageRegistry::Snapshot() is the engine total,
+// on the three Figure 4 workloads (addition, both multiply plans, one
+// factorization step). Totals-only: the peak_resident_bytes gauge,
+// workers_lost and heartbeat dist_bytes_* (no stage owns them), and the
+// query-level service counters (queries_*, plan_cache_*), which meter on
+// the totals and the session before any stage exists.
+TEST(ObservabilityFig4Test, EveryStageCounterSumsToTheTotals) {
+  Sac ctx(ClusterConfig{2, 2, 4});
+  const int64_t n = 48, k = 16, blk = 16;
+  const auto a = ctx.RandomMatrix(n, n, blk, 1).value();
+  const auto b = ctx.RandomMatrix(n, n, blk, 2).value();
+  ASSERT_TRUE(algo::Add(&ctx, a, b).ok());
+  ctx.options().enable_group_by_join = true;
+  ctx.options().auto_strategy = false;
+  ASSERT_TRUE(algo::Multiply(&ctx, a, b).ok());
+  ctx.options().enable_group_by_join = false;
+  ASSERT_TRUE(algo::Multiply(&ctx, a, b).ok());
+  const auto r = ctx.RandomSparseMatrix(n, n, blk, 3, 0.1, 5).value();
+  const algo::Factorization f{ctx.RandomMatrix(n, k, blk, 4, 0.0, 1.0).value(),
+                              ctx.RandomMatrix(n, k, blk, 5, 0.0, 1.0).value()};
+  ASSERT_TRUE(algo::FactorizationStep(&ctx, r, f, 0.002, 0.02).ok());
+
+  std::vector<uint64_t> staged(kNumCounters, 0);
+  for (const StageStatsSnapshot& st : ctx.engine().stages().Snapshot()) {
+    size_t i = 0;
+    st.counters.ForEachCounter(
+        [&](const char*, uint64_t v) { staged[i++] += v; });
+  }
+  const MetricsSnapshot totals = ctx.metrics().Snapshot();
+  size_t i = 0;
+  totals.ForEachCounter([&](const char* name, uint64_t total) {
+    const Counter c = static_cast<Counter>(i);
+    const uint64_t sum = staged[i++];
+    const std::string_view sv(name);
+    if (IsGauge(c) || c == Counter::workers_lost ||
+        sv.starts_with("queries_") || sv.starts_with("plan_cache_")) {
+      return;
+    }
+    EXPECT_EQ(sum, total) << name;
+  });
+  EXPECT_GT(totals.flops_packed, 0u);
+  EXPECT_GT(totals.tile_allocs, 0u);
+  EXPECT_GT(totals.shuffle_bytes, 0u);
 }
 
 }  // namespace

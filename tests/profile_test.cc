@@ -209,6 +209,32 @@ TEST(ProfileJsonTest, ToJsonParseProfileRoundTrips) {
   EXPECT_EQ(q.samples[0].values[0].value, 123);
 }
 
+TEST(ProfileJsonTest, ZeroCountersAreSkippedAndParseBackIdentical) {
+  ProfileInputs in = SyntheticInputs();
+  in.totals.shuffle_records = 16;
+  in.totals.peak_resident_bytes = 1 << 20;
+  in.totals.partitions_reexecuted = 2;
+  const Profile p = BuildProfile(in);
+  const std::string text = p.ToJson();
+  // Zero counters are left out; readers default a missing one to 0.
+  EXPECT_EQ(text.find("\"evictions\""), std::string::npos);
+  EXPECT_NE(text.find("\"partitions_reexecuted\":2"), std::string::npos);
+
+  Result<Profile> back = ParseProfile(text);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  auto values = [](const MetricsSnapshot& m) {
+    std::vector<uint64_t> v;
+    m.ForEachCounter([&](const char*, uint64_t x) { v.push_back(x); });
+    return v;
+  };
+  EXPECT_EQ(values(back.value().totals), values(p.totals));
+  ASSERT_EQ(back.value().stages.size(), p.stages.size());
+  for (size_t i = 0; i < p.stages.size(); ++i) {
+    EXPECT_EQ(values(back.value().stages[i].counters),
+              values(p.stages[i].counters));
+  }
+}
+
 TEST(ProfileJsonTest, ParseRejectsNonProfilesAndFutureVersions) {
   EXPECT_FALSE(ParseProfile("not json").ok());
   EXPECT_FALSE(ParseProfile("{\"rows\":[]}").ok());  // a bench report

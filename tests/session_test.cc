@@ -133,6 +133,35 @@ TEST(SessionTest, SessionMetricsAttribution) {
   EXPECT_EQ(idle_snap.queries_admitted, 0u);
 }
 
+// Kernel-layer counters (flops_*, tile_allocs) are metered from inside
+// the planner's run closures; like task and shuffle counters they must
+// reach the running stage and, through it, the owning session.
+TEST(SessionTest, KernelCountersReachTheSessionAndItsStages) {
+  Sac ctx(SmallCluster());
+  auto s = ctx.OpenSession("kernels");
+  s->Bind("A", s->RandomMatrix(48, 48, 16, 1).value());
+  s->Bind("B", s->RandomMatrix(48, 48, 16, 2).value());
+  s->BindScalar("n", int64_t{48});
+  ASSERT_TRUE(s->EvalTiled(kMatmul).ok());
+  ASSERT_TRUE(s->EvalTiled("tiled(n,n)[ ((i,j),a+b) | ((i,j),a) <- A,"
+                           " ((ii,jj),b) <- B, ii == i, jj == j ]")
+                  .ok());
+
+  const MetricsSnapshot engine = ctx.metrics().Snapshot();
+  const MetricsSnapshot session = s->metrics().Snapshot();
+  uint64_t staged_flops = 0, staged_allocs = 0;
+  for (const StageStatsSnapshot& st : ctx.engine().stages().Snapshot()) {
+    staged_flops += st.counters.flops_packed;
+    staged_allocs += st.counters.tile_allocs;
+  }
+  EXPECT_GT(engine.flops_packed, 0u);
+  EXPECT_GT(engine.tile_allocs, 0u);
+  EXPECT_EQ(session.flops_packed, engine.flops_packed);
+  EXPECT_EQ(session.tile_allocs, engine.tile_allocs);
+  EXPECT_EQ(staged_flops, engine.flops_packed);
+  EXPECT_EQ(staged_allocs, engine.tile_allocs);
+}
+
 TEST(SessionTest, PerSessionBudgetEvictsOnlyThatSession) {
   // Global budget unlimited; only the "tight" session has a slice.
   Sac ctx(SmallCluster());

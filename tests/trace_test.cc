@@ -319,8 +319,10 @@ TEST(StageRegistryTest, ReportStringGoldenLayout) {
   StageRef ref = registry.NewStage("golden", "shuffle");
   StageStats* stats = registry.Get(ref);
   ASSERT_NE(stats, nullptr);
-  stats->AddTask();
-  stats->AddShuffle(2048, 4, /*cross_executor=*/true);
+  stats->Add(Counter::tasks_run);
+  stats->Add(Counter::shuffle_bytes, 2048);
+  stats->Add(Counter::shuffle_records, 4);
+  stats->Add(Counter::cross_executor_bytes, 2048);
   const std::string row = registry.ReportString().substr(
       expected_header.size());
   EXPECT_EQ(row,
@@ -332,12 +334,15 @@ TEST(StageRegistryTest, ReportStringGoldenLayout) {
 
 TEST(MetricsSnapshotTest, PlainCopyMatchesAtomics) {
   Metrics m;
-  m.AddShuffle(1024, 10, /*cross_executor=*/true);
-  m.AddShuffle(512, 5, /*cross_executor=*/false);
-  m.AddTask();
-  m.AddTask();
-  m.AddRecompute();
-  m.AddRecords(42);
+  m.Add(Counter::shuffle_bytes, 1024);
+  m.Add(Counter::shuffle_records, 10);
+  m.Add(Counter::cross_executor_bytes, 1024);
+  m.Add(Counter::shuffle_bytes, 512);
+  m.Add(Counter::shuffle_records, 5);
+  m.Add(Counter::tasks_run);
+  m.Add(Counter::tasks_run);
+  m.Add(Counter::tasks_recomputed);
+  m.Add(Counter::records_processed, 42);
   const MetricsSnapshot s = m.Snapshot();
   EXPECT_EQ(s.shuffle_bytes, 1536u);
   EXPECT_EQ(s.shuffle_records, 15u);
