@@ -47,6 +47,9 @@
 #  10. docs: scripts/check_docs_links.sh (no *.md relative link may point
 #      at a missing file) + scripts/check_metrics_glossary.sh (every
 #      MetricsSnapshot counter documented in docs/OPERATIONS.md)
+#  10b. perfbench: python3 perfbench/test_run.py (builds the benchmark
+#      driver from src/ and smoke-runs every workload against its oracle,
+#      so a library change that breaks either fails here)
 #  11. asan: AddressSanitizer+UBSan build, full test suite, then the
 #      4-session concurrent service smoke under ASan
 #  12. tsan: ThreadSanitizer build of the concurrency-sensitive tests
@@ -222,6 +225,9 @@ EOF
 
   echo "==> docs: metrics glossary drift check"
   scripts/check_metrics_glossary.sh
+
+  echo "==> perfbench: driver build + workload oracles"
+  python3 perfbench/test_run.py
 fi
 
 if [[ "$mode" == "all" || "$mode" == "--asan-only" ]]; then

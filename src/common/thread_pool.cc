@@ -92,11 +92,24 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
   // dynamic claim (finishing order adapts to per-index cost), and the
   // round-robin scheduler can interleave other queues' tasks between
   // chunks. A shared latch signals completion so this does not interfere
-  // with unrelated tasks in the same pool.
+  // with unrelated tasks in the same pool. Each chunk counts the latch
+  // down when the worker drops the finished task, which WorkerLoop does
+  // only after the task stopped counting as active -- so in_flight() no
+  // longer includes this call's chunks once it returns.
   struct Ctl {
     std::mutex mu;
     std::condition_variable cv;
     size_t pending;
+  };
+  struct CountDown {
+    explicit CountDown(std::shared_ptr<Ctl> c) : ctl(std::move(c)) {}
+    CountDown(const CountDown&) = delete;
+    CountDown& operator=(const CountDown&) = delete;
+    ~CountDown() {
+      std::lock_guard<std::mutex> inner(ctl->mu);
+      if (--ctl->pending == 0) ctl->cv.notify_all();
+    }
+    std::shared_ptr<Ctl> ctl;
   };
   auto ctl = std::make_shared<Ctl>();
   const size_t chunks = (n + chunk - 1) / chunk;
@@ -108,10 +121,9 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
     for (size_t c = 0; c < chunks; ++c) {
       const size_t lo = c * chunk;
       const size_t hi = std::min(n, lo + chunk);
-      it->second.push_back([&fn, lo, hi, ctl] {
+      auto done = std::make_shared<CountDown>(ctl);
+      it->second.push_back([&fn, lo, hi, done] {
         for (size_t i = lo; i < hi; ++i) fn(i);
-        std::lock_guard<std::mutex> inner(ctl->mu);
-        if (--ctl->pending == 0) ctl->cv.notify_all();
       });
     }
     queued_ += chunks;
@@ -137,6 +149,9 @@ void ThreadPool::WorkerLoop() {
       --active_;
       if (queued_ == 0 && active_ == 0) idle_cv_.notify_all();
     }
+    // Release the task's captures only now that it no longer counts as
+    // active (ParallelFor's completion latch lives in them).
+    task = nullptr;
   }
 }
 

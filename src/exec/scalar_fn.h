@@ -1,16 +1,16 @@
 // Compilation of element-level expressions into fast closures. This is
 // the C++ stand-in for the Scala code a macro would have emitted for the
 // body of a generated loop: the planner compiles the scalar part of a
-// comprehension head once, then tile kernels call it millions of times
-// with no interpretation overhead beyond one indirect call per element.
+// comprehension head once, then tile kernels call it millions of times.
 //
 // Three closure families:
-//  * ScalarFn -- double(args)  for element values
+//  * ScalarFn -- double(args)  for element values, backed by one flat
+//                ScalarProgram (src/exec/scalar_program.h)
 //  * IntFn    -- int64(args)   for index arithmetic (true integer / and %)
 //  * PredFn   -- bool(int args)  for index guards
 //
 // Compilation fails (PlanError) on constructs outside the supported
-// fragment; callers fall back to slower but fully general strategies.
+// fragment; the planner then tries its next translation strategy.
 #ifndef SAC_EXEC_SCALAR_FN_H_
 #define SAC_EXEC_SCALAR_FN_H_
 

@@ -25,8 +25,8 @@ int FindArg(const std::vector<std::string>& args, const std::string& name) {
 using Op = ScalarProgram::Op;
 using Instr = ScalarProgram::Instr;
 
-/// Emits postfix code for `e` into *code, tracking stack depth so
-/// overflow is a compile failure rather than an Eval-time one.
+/// Emits postfix code for `e` into *code, recording the deepest stack
+/// the code reaches so Eval can size its stack up front.
 class Emitter {
  public:
   Emitter(const std::vector<std::string>& args,
@@ -135,13 +135,12 @@ class Emitter {
   }
 
   std::vector<Instr> Take() { return std::move(code_); }
+  int max_depth() const { return max_depth_; }
 
  private:
   Status Push(Op op, int32_t slot, double imm) {
     code_.push_back(Instr{op, slot, imm});
-    if (++depth_ > ScalarProgram::kMaxStack) {
-      return Status::PlanError("scalar expression too deep for program");
-    }
+    max_depth_ = std::max(max_depth_, ++depth_);
     return Status::OK();
   }
 
@@ -155,6 +154,7 @@ class Emitter {
   const std::unordered_map<std::string, double>& consts_;
   std::vector<Instr> code_;
   int depth_ = 0;
+  int max_depth_ = 0;
 };
 
 }  // namespace
@@ -166,13 +166,17 @@ Result<ScalarProgram> ScalarProgram::Compile(
   SAC_RETURN_NOT_OK(em.EmitNumeric(e));
   ScalarProgram p;
   p.code_ = em.Take();
+  p.max_stack_ = em.max_depth();
   return p;
 }
 
-double ScalarProgram::Eval(const double* args) const {
-  double stack[kMaxStack];
+namespace {
+
+/// The interpreter loop over a stack at least max_stack() deep.
+double Run(const std::vector<Instr>& code, const double* args,
+           double* stack) {
   int sp = 0;
-  for (const Instr& in : code_) {
+  for (const Instr& in : code) {
     switch (in.op) {
       case Op::kConst: stack[sp++] = in.imm; break;
       case Op::kArg: stack[sp++] = args[in.slot]; break;
@@ -246,6 +250,19 @@ double ScalarProgram::Eval(const double* args) const {
     }
   }
   return stack[0];
+}
+
+}  // namespace
+
+double ScalarProgram::Eval(const double* args) const {
+  // The common case allocates nothing; only programs deeper than
+  // kMaxStack pay for a heap stack.
+  if (max_stack_ <= kMaxStack) {
+    double stack[kMaxStack];
+    return Run(code_, args, stack);
+  }
+  std::vector<double> stack(static_cast<size_t>(max_stack_));
+  return Run(code_, args, stack.data());
 }
 
 }  // namespace sac::exec

@@ -1,17 +1,14 @@
-// Flat register/stack programs for element-level expressions. The
-// closure-tree compiler in scalar_fn.cc pays one indirect call (and one
-// std::function dispatch) per AST node per element; for a chain like
-// fig4c's `p - gamma*(g + lambda*p)` that is ~7 indirections per element.
-// A ScalarProgram is the same expression compiled once into a flat
-// postfix instruction vector evaluated by a single switch loop over a
-// fixed stack -- one indirect call per *element*, not per node, which is
-// as close to the paper's "macro-generated Scala loop body" as a
-// library-level C++ stand-in gets.
+// Flat register/stack programs for element-level expressions: the one
+// compiled form of a `double` comprehension head (CompileScalarFn returns
+// it). The expression is compiled once into a flat postfix instruction
+// vector evaluated by a single switch loop -- one indirect call per
+// *element*, not per AST node, which is as close to the paper's
+// "macro-generated Scala loop body" as a library-level C++ stand-in gets.
 //
-// Semantics match the tree compiler exactly except that if-then-else
-// evaluates both branches and selects (kSelect). Both branches are pure
-// arithmetic in the supported fragment, so the discarded branch has no
-// observable effect and the selected value is bit-identical.
+// If-then-else evaluates both branches and selects (kSelect). Both
+// branches are pure arithmetic in the supported fragment, so the
+// discarded branch has no observable effect and the selected value is
+// bit-identical to evaluating only the taken branch.
 #ifndef SAC_EXEC_SCALAR_PROGRAM_H_
 #define SAC_EXEC_SCALAR_PROGRAM_H_
 
@@ -45,13 +42,13 @@ class ScalarProgram {
     double imm = 0.0;   // kConst
   };
 
-  /// Deepest operand stack Eval supports; Compile rejects programs that
-  /// would exceed it (callers fall back to the closure tree).
+  /// Deepest operand stack Eval keeps inline. Programs that need more
+  /// still evaluate correctly, on a stack allocated per call.
   static constexpr int kMaxStack = 64;
 
-  /// Compiles the same fragment CompileScalarFn accepts (plus boolean
+  /// Compiles the fragment CompileScalarFn accepts (plus boolean
   /// subexpressions inside if-conditions). PlanError on anything outside
-  /// the fragment or deeper than kMaxStack.
+  /// the fragment; never fails on depth.
   static Result<ScalarProgram> Compile(
       const comp::ExprPtr& e, const std::vector<std::string>& args,
       const std::unordered_map<std::string, double>& consts);
@@ -60,9 +57,12 @@ class ScalarProgram {
 
   size_t size() const { return code_.size(); }
   const std::vector<Instr>& code() const { return code_; }
+  /// Deepest operand stack the code needs, recorded at compile time.
+  int max_stack() const { return max_stack_; }
 
  private:
   std::vector<Instr> code_;
+  int max_stack_ = 0;
 };
 
 }  // namespace sac::exec

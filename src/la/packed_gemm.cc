@@ -18,15 +18,14 @@ namespace {
 // Register microkernel footprint. 6x8 keeps the 48 accumulators (12 ymm)
 // plus two B vectors and one A broadcast inside AVX2's 16-register file
 // with one to spare; 8x6 needs 24 xmm under baseline SSE2 and spills.
-// bench_micro_kernels confirms 6x8 beats both on the shapes the tiled
-// planner produces.
+// 6x8 measured faster than both on the shapes the tiled planner produces.
 constexpr int64_t kMr = 6;
 constexpr int64_t kNr = 8;
 
 // Packing is only worth it once the O(m*l + l*n) copy cost is amortized
-// over O(m*l*n) flops: the micro bench's BM_GemmFast/BM_GemmPacked
-// crossover sits between 64 and 128 on the reference container, so 64x64
-// tiles (the default planner block) always take the unpacked loop.
+// over O(m*l*n) flops: the measured packed vs unpacked crossover sits
+// between 64 and 128, so 64x64 tiles (the default planner block) always
+// take the unpacked loop.
 constexpr int64_t kPackedMinDim = 128;
 
 /// Pool for pack buffers: steady-state iterative workloads (fig4c) run

@@ -22,8 +22,8 @@ namespace sac::la {
 void PackedGemmAccum(const Tile& a, const Tile& b, Tile* out);
 
 /// Minimum min(m, n) at which PackedGemmAccum actually packs; smaller
-/// products forward to la::GemmAccum. Chosen from bench_micro_kernels
-/// (BM_GemmFast vs BM_GemmPacked crossover; see docs/KERNELS.md).
+/// products forward to la::GemmAccum. Set at the measured packed vs
+/// unpacked crossover (see docs/KERNELS.md).
 int64_t PackedGemmThreshold();
 
 /// True when PackedGemmAccum would take the packed path for these shapes

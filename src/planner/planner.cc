@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <sstream>
 
 #include "src/analysis/cost.h"
@@ -32,11 +31,11 @@ using runtime::VInt;
 using runtime::VPair;
 using storage::TiledMatrix;
 
-namespace {
-
 Status NotApplicable(const std::string& rule, const std::string& why) {
   return Status::PlanError(rule + " does not apply: " + why);
 }
+
+namespace {
 
 std::string FmtMs(const double ms) {
   std::ostringstream os;
@@ -696,73 +695,42 @@ Result<CompiledQuery> TryTotalAggregate(const ExprPtr& query,
     return NotApplicable(kRule, "unsupported monoid");
   }
 
-  // One generator over a distributed array; lets; integer guards.
-  GenInfo gen;
-  bool have_gen = false;
-  std::vector<LetInfo> lets;
-  std::vector<ExprPtr> guards;
+  // One generator over a distributed array; lets; integer guards. The
+  // shape holds them so lets inline the way every other strategy does.
+  QueryShape shape;
   for (const auto& q : comp_e->quals) {
     switch (q.kind) {
       case comp::Qualifier::Kind::kGenerator: {
-        if (have_gen) return NotApplicable(kRule, "multiple generators");
-        QueryShape tmp;
-        SAC_ASSIGN_OR_RETURN(gen, [&]() -> Result<GenInfo> {
-          GenInfo g;
-          g.pos = q.pos;
-          if (q.expr->kind != Expr::Kind::kVar) {
-            return NotApplicable(kRule, "generator source not a name");
-          }
-          g.source = q.expr->str_val;
-          const auto& p = q.pattern;
-          if (p->kind != comp::Pattern::Kind::kTuple || p->elems.size() != 2) {
-            return NotApplicable(kRule, "bad generator pattern");
-          }
-          if (p->elems[1]->kind != comp::Pattern::Kind::kVar) {
-            return NotApplicable(kRule, "bad value pattern");
-          }
-          g.val = p->elems[1]->var;
-          if (p->elems[0]->kind == comp::Pattern::Kind::kVar) {
-            g.idx.push_back(p->elems[0]->var);
-          } else if (p->elems[0]->kind == comp::Pattern::Kind::kTuple) {
-            for (const auto& ip : p->elems[0]->elems) {
-              if (ip->kind != comp::Pattern::Kind::kVar) {
-                return NotApplicable(kRule, "bad index pattern");
-              }
-              g.idx.push_back(ip->var);
-            }
-          }
-          return g;
-        }());
-        have_gen = true;
+        if (!shape.gens.empty()) {
+          return NotApplicable(kRule, "multiple generators");
+        }
+        SAC_ASSIGN_OR_RETURN(GenInfo g, AnalyzeGenerator(q));
+        if (g.val.empty()) return NotApplicable(kRule, "wildcard value");
+        shape.gens.push_back(std::move(g));
         break;
       }
       case comp::Qualifier::Kind::kLet:
         if (q.pattern->kind != comp::Pattern::Kind::kVar) {
           return NotApplicable(kRule, "bad let pattern");
         }
-        lets.push_back(LetInfo{q.pattern->var, q.expr});
+        shape.lets.push_back(LetInfo{q.pattern->var, q.expr});
         break;
       case comp::Qualifier::Kind::kGuard:
-        guards.push_back(q.expr);
+        shape.guards.push_back(q.expr);
         break;
       case comp::Qualifier::Kind::kGroupBy:
         return NotApplicable(kRule, "group-by inside total aggregate");
     }
   }
-  if (!have_gen) return NotApplicable(kRule, "no generator");
+  if (shape.gens.empty()) return NotApplicable(kRule, "no generator");
+  const GenInfo& gen = shape.gens[0];
   SAC_ASSIGN_OR_RETURN(const Binding* b, GetBinding(binds, gen.source,
                                                     gen.pos));
   if (!b->is_distributed() || b->kind == Binding::Kind::kCoo) {
     return NotApplicable(kRule, "source is not a block array");
   }
 
-  // Inline lets into head and guards; compile over (idx..., val).
-  auto inline_lets = [&](ExprPtr e) {
-    for (auto it = lets.rbegin(); it != lets.rend(); ++it) {
-      e = comp::SubstituteVar(e, it->var, it->expr);
-    }
-    return e;
-  };
+  // Compile the let-inlined head and guards over (idx..., val).
   ConstEnv consts;
   CollectScalarConsts(binds, &consts);
   std::vector<std::string> dargs = gen.idx;
@@ -770,12 +738,12 @@ Result<CompiledQuery> TryTotalAggregate(const ExprPtr& query,
   // Head as a scalar over doubles: indices are passed as doubles too (the
   // guard fragment below keeps true integer arithmetic separate).
   SAC_ASSIGN_OR_RETURN(
-      ScalarFn fv, exec::CompileScalarFn(inline_lets(comp_e->children[0]),
+      ScalarFn fv, exec::CompileScalarFn(shape.InlineLets(comp_e->children[0]),
                                          dargs, consts));
   std::vector<exec::PredFn> preds;
-  for (const auto& g : guards) {
+  for (const auto& g : shape.guards) {
     SAC_ASSIGN_OR_RETURN(exec::PredFn p,
-                         exec::CompileIntPred(inline_lets(g), gen.idx,
+                         exec::CompileIntPred(shape.InlineLets(g), gen.idx,
                                               consts));
     preds.push_back(std::move(p));
   }
@@ -815,9 +783,7 @@ Result<CompiledQuery> TryTotalAggregate(const ExprPtr& query,
                 bj = row.At(0).AsInt();
               }
               const la::Tile& t = row.At(1).AsTile();
-              double sum = 0.0, prod = 1.0;
-              double mn = std::numeric_limits<double>::infinity();
-              double mx = -std::numeric_limits<double>::infinity();
+              double acc = MonoidIdentity(op);
               int64_t count = 0;
               for (int64_t i = 0; i < t.rows(); ++i) {
                 for (int64_t j = 0; j < t.cols(); ++j) {
@@ -842,58 +808,34 @@ Result<CompiledQuery> TryTotalAggregate(const ExprPtr& query,
                     }
                   }
                   if (!pass) continue;
-                  const double v = fv(dval);
-                  sum += v;
-                  prod *= v;
-                  mn = std::min(mn, v);
-                  mx = std::max(mx, v);
+                  MonoidAccum(op, &acc, fv(dval));
                   ++count;
                 }
               }
-              return runtime::VTuple(
-                  {runtime::VDouble(sum), runtime::VDouble(prod),
-                   runtime::VDouble(mn), runtime::VDouble(mx),
-                   VInt(count)});
+              return VPair(runtime::VDouble(acc), VInt(count));
             },
             "partialAggregate"));
     SAC_ASSIGN_OR_RETURN(ValueVec rows, eng->Collect(partials));
-    double sum = 0.0, prod = 1.0;
-    double mn = std::numeric_limits<double>::infinity();
-    double mx = -std::numeric_limits<double>::infinity();
+    double acc = MonoidIdentity(op);
     int64_t count = 0;
     for (const Value& r : rows) {
-      sum += r.At(0).AsDouble();
-      prod *= r.At(1).AsDouble();
-      mn = std::min(mn, r.At(2).AsDouble());
-      mx = std::max(mx, r.At(3).AsDouble());
-      count += r.At(4).AsInt();
+      MonoidAccum(op, &acc, r.At(0).AsDouble());
+      count += r.At(1).AsInt();
+    }
+    const bool needs_elements = op == ReduceOp::kMin ||
+                                op == ReduceOp::kMax || op == ReduceOp::kAvg;
+    if (count == 0 && needs_elements) {
+      // Fail exactly as the reference evaluator's fold of an empty list.
+      return comp::Evaluator::FoldReduce(op, {}, query->pos).status();
     }
     QueryResult out;
     out.kind = QueryResult::Kind::kValue;
-    switch (op) {
-      case ReduceOp::kSum:
-        out.value = runtime::VDouble(sum);
-        break;
-      case ReduceOp::kProd:
-        out.value = runtime::VDouble(prod);
-        break;
-      case ReduceOp::kMin:
-        if (count == 0) return Status::RuntimeError("min of empty");
-        out.value = runtime::VDouble(mn);
-        break;
-      case ReduceOp::kMax:
-        if (count == 0) return Status::RuntimeError("max of empty");
-        out.value = runtime::VDouble(mx);
-        break;
-      case ReduceOp::kCount:
-        out.value = VInt(count);
-        break;
-      case ReduceOp::kAvg:
-        if (count == 0) return Status::RuntimeError("avg of empty");
-        out.value = runtime::VDouble(sum / static_cast<double>(count));
-        break;
-      default:
-        return Status::PlanError("bad monoid");
+    if (op == ReduceOp::kCount) {
+      out.value = VInt(count);
+    } else if (op == ReduceOp::kAvg) {
+      out.value = runtime::VDouble(acc / static_cast<double>(count));
+    } else {
+      out.value = runtime::VDouble(acc);
     }
     return out;
   };

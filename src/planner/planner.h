@@ -15,7 +15,10 @@
 #ifndef SAC_PLANNER_PLANNER_H_
 #define SAC_PLANNER_PLANNER_H_
 
+#include <algorithm>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/comp/ast.h"
@@ -60,6 +63,63 @@ Result<CompiledQuery> LocalFallbackPlan(const comp::ExprPtr& query,
                                         const PlannerOptions& opts);
 
 // ---- shared helpers --------------------------------------------------------
+
+/// The PlanError a Try* strategy returns when its pattern does not apply.
+Status NotApplicable(const std::string& rule, const std::string& why);
+
+/// Identity of the scalar monoid ⊕ (count and avg fold as sums).
+inline double MonoidIdentity(comp::ReduceOp op) {
+  switch (op) {
+    case comp::ReduceOp::kProd:
+      return 1.0;
+    case comp::ReduceOp::kMin:
+      return std::numeric_limits<double>::infinity();
+    case comp::ReduceOp::kMax:
+      return -std::numeric_limits<double>::infinity();
+    default:
+      return 0.0;
+  }
+}
+
+/// *acc ⊕= v for the scalar monoid (count and avg fold as sums).
+inline void MonoidAccum(comp::ReduceOp op, double* acc, double v) {
+  switch (op) {
+    case comp::ReduceOp::kProd:
+      *acc *= v;
+      break;
+    case comp::ReduceOp::kMin:
+      *acc = std::min(*acc, v);
+      break;
+    case comp::ReduceOp::kMax:
+      *acc = std::max(*acc, v);
+      break;
+    default:
+      *acc += v;
+      break;
+  }
+}
+
+/// One aggregate ⊕/g of a group-by head: `g` is the per-element term over
+/// the generator element variables; `op` is sum, prod, min or max.
+struct AggInfo {
+  comp::ReduceOp op;
+  comp::ExprPtr g;
+};
+
+/// A (let-inlined) group-by head value decomposed into
+/// f($agg0, ..., $aggm) over aggregates ⊕i/gi (rule 12 / Section 5.3).
+struct AggDecomposition {
+  std::vector<AggInfo> aggs;
+  comp::ExprPtr finalize;  // over variables $agg0...$aggm
+};
+
+/// Decomposes a head value; count/ becomes a sum of 1 and avg/ a sum
+/// divided by a count. PlanError on other monoids, nested aggregations or
+/// a head with no aggregate.
+Result<AggDecomposition> ExtractAggs(const comp::ExprPtr& head_val_inlined);
+
+/// Whether the finalize step is just `$agg0` (one aggregate, no arithmetic).
+bool FinalizeIsIdentity(const AggDecomposition& d);
 
 /// Whether cost-based planning is active: PlannerOptions::auto_strategy
 /// unless the SAC_AUTO_STRATEGY=off escape hatch overrides it.

@@ -30,14 +30,6 @@ using runtime::VInt;
 using runtime::VPair;
 using storage::TiledMatrix;
 
-namespace {
-
-Status NotApplicable(const std::string& rule, const std::string& why) {
-  return Status::PlanError(rule + " does not apply: " + why);
-}
-
-}  // namespace
-
 // ===========================================================================
 // Section 5.2: queries that do not preserve tiling
 // ===========================================================================
@@ -242,19 +234,6 @@ Result<Dataset> Elements(Engine* eng, const Binding& b) {
   }
 }
 
-double ScalarMonoidApply(ReduceOp op, double a, double b) {
-  switch (op) {
-    case ReduceOp::kProd:
-      return a * b;
-    case ReduceOp::kMin:
-      return std::min(a, b);
-    case ReduceOp::kMax:
-      return std::max(a, b);
-    default:
-      return a + b;
-  }
-}
-
 }  // namespace
 
 Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
@@ -357,45 +336,19 @@ Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
       return NotApplicable(kRule, "head key differs from group key");
     }
     // Decompose aggregates (same analysis as 5.3, at scalar level).
-    ExprPtr hv = shape.InlineLets(shape.head_val);
-    std::function<Result<ExprPtr>(const ExprPtr&)> extract =
-        [&](const ExprPtr& e) -> Result<ExprPtr> {
-      if (e->kind == Expr::Kind::kReduce) {
-        ReduceOp op = e->reduce_op;
-        ExprPtr operand = e->children[0];
-        if (op == ReduceOp::kCount) {
-          op = ReduceOp::kSum;
-          operand = Expr::Int(1, e->pos);
-        }
-        if (op != ReduceOp::kSum && op != ReduceOp::kProd &&
-            op != ReduceOp::kMin && op != ReduceOp::kMax) {
-          return Status::PlanError("unsupported monoid in COO plan");
-        }
-        SAC_ASSIGN_OR_RETURN(ScalarFn g, exec::CompileScalarFn(
-                                             operand, all_vars, consts));
-        const size_t k = aggs.size();
-        aggs.push_back(CooAgg{op, std::move(g)});
-        return Expr::Var("$agg" + std::to_string(k), e->pos);
-      }
-      if (e->children.empty()) return e;
-      auto copy = std::make_shared<Expr>(*e);
-      for (auto& c : copy->children) {
-        SAC_ASSIGN_OR_RETURN(c, extract(c));
-      }
-      return ExprPtr(copy);
-    };
-    SAC_ASSIGN_OR_RETURN(ExprPtr fin_expr, extract(hv));
-    if (aggs.empty()) return NotApplicable(kRule, "group-by without aggregate");
+    SAC_ASSIGN_OR_RETURN(AggDecomposition d,
+                         ExtractAggs(shape.InlineLets(shape.head_val)));
     std::vector<std::string> agg_args;
-    for (size_t k = 0; k < aggs.size(); ++k) {
-      agg_args.push_back("$agg" + std::to_string(k));
+    for (const AggInfo& a : d.aggs) {
+      SAC_ASSIGN_OR_RETURN(ScalarFn g,
+                           exec::CompileScalarFn(a.g, all_vars, consts));
+      agg_args.push_back("$agg" + std::to_string(aggs.size()));
+      aggs.push_back(CooAgg{a.op, std::move(g)});
     }
-    SAC_ASSIGN_OR_RETURN(finalize_fn, exec::CompileScalarFn(fin_expr,
+    SAC_ASSIGN_OR_RETURN(finalize_fn, exec::CompileScalarFn(d.finalize,
                                                             agg_args,
                                                             consts));
-    finalize_identity = aggs.size() == 1 &&
-                        fin_expr->kind == Expr::Kind::kVar &&
-                        fin_expr->str_val == "$agg0";
+    finalize_identity = FinalizeIsIdentity(d);
   } else {
     SAC_ASSIGN_OR_RETURN(value_fn, exec::CompileScalarFn(
                                        shape.InlineLets(shape.head_val),
@@ -621,9 +574,9 @@ Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
           eng->ReduceByKey(keyed, [aggs_c](const Value& a, const Value& b) {
             ValueVec out;
             for (size_t k = 0; k < aggs_c.size(); ++k) {
-              out.push_back(runtime::VDouble(
-                  ScalarMonoidApply(aggs_c[k].op, a.At(k).AsDouble(),
-                                    b.At(k).AsDouble())));
+              double acc = a.At(k).AsDouble();
+              MonoidAccum(aggs_c[k].op, &acc, b.At(k).AsDouble());
+              out.push_back(runtime::VDouble(acc));
             }
             return runtime::VTuple(std::move(out));
           }));

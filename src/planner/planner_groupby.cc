@@ -3,7 +3,6 @@
 //   Section 5.4 -- group-by-join (SUMMA): replicate + cogroup
 #include <algorithm>
 #include <array>
-#include <limits>
 #include <unordered_map>
 
 #include "src/comp/eval.h"
@@ -29,47 +28,7 @@ using storage::TiledMatrix;
 
 namespace {
 
-Status NotApplicable(const std::string& rule, const std::string& why) {
-  return Status::PlanError(rule + " does not apply: " + why);
-}
-
 // ---- monoid helpers --------------------------------------------------------
-
-double MonoidIdentity(ReduceOp op) {
-  switch (op) {
-    case ReduceOp::kSum:
-    case ReduceOp::kCount:
-      return 0.0;
-    case ReduceOp::kProd:
-      return 1.0;
-    case ReduceOp::kMin:
-      return std::numeric_limits<double>::infinity();
-    case ReduceOp::kMax:
-      return -std::numeric_limits<double>::infinity();
-    default:
-      return 0.0;
-  }
-}
-
-inline void MonoidAccum(ReduceOp op, double* acc, double v) {
-  switch (op) {
-    case ReduceOp::kSum:
-    case ReduceOp::kCount:
-      *acc += v;
-      break;
-    case ReduceOp::kProd:
-      *acc *= v;
-      break;
-    case ReduceOp::kMin:
-      *acc = std::min(*acc, v);
-      break;
-    case ReduceOp::kMax:
-      *acc = std::max(*acc, v);
-      break;
-    default:
-      break;
-  }
-}
 
 /// acc ⊕= t elementwise: the tile monoid of Section 5.3.
 void TileMonoidAccum(ReduceOp op, la::Tile* acc, const la::Tile& t) {
@@ -91,27 +50,10 @@ la::Tile FilledTile(int64_t r, int64_t c, double v) {
 
 // ---- aggregation extraction (Section 3 / 5.3 decomposition) ---------------
 
-struct AggInfo {
-  ReduceOp op;      // sum / prod / min / max (count becomes sum of 1)
-  ExprPtr g;        // per-element term, over generator element variables
-};
-
-/// Decomposes the (let-inlined) head value into
-/// f($agg0, ..., $aggm) with aggregates ⊕i/gi (rule 12 / 5.3). kCount
-/// becomes sum of 1; kAvg becomes sum/count.
-struct AggDecomposition {
-  std::vector<AggInfo> aggs;
-  ExprPtr finalize;  // over variables $agg0...$aggm
-};
-
 Result<ExprPtr> ExtractAggsRec(const ExprPtr& e,
                                std::vector<AggInfo>* aggs) {
   if (e->kind == Expr::Kind::kReduce) {
     const ExprPtr& operand = e->children[0];
-    // Nested reductions inside an aggregate are not supported here.
-    for (const auto& fv : comp::FreeVars(operand)) {
-      (void)fv;
-    }
     switch (e->reduce_op) {
       case ReduceOp::kSum:
       case ReduceOp::kProd:
@@ -147,6 +89,8 @@ Result<ExprPtr> ExtractAggsRec(const ExprPtr& e,
   return ExprPtr(copy);
 }
 
+}  // namespace
+
 Result<AggDecomposition> ExtractAggs(const ExprPtr& head_val_inlined) {
   AggDecomposition d;
   SAC_ASSIGN_OR_RETURN(d.finalize,
@@ -166,6 +110,13 @@ Result<AggDecomposition> ExtractAggs(const ExprPtr& head_val_inlined) {
   }
   return d;
 }
+
+bool FinalizeIsIdentity(const AggDecomposition& d) {
+  return d.aggs.size() == 1 && d.finalize->kind == Expr::Kind::kVar &&
+         d.finalize->str_val == "$agg0";
+}
+
+namespace {
 
 /// Combine function for (key, (tile0, ..., tilem)) rows: pairwise tile
 /// monoid application per aggregation.
@@ -201,11 +152,6 @@ Result<la::Tile> FinalizeTiles(const ScalarFn& f, const ValueVec& agg_tiles) {
     out.data()[i] = f(args.data());
   }
   return out;
-}
-
-bool FinalizeIsIdentity(const AggDecomposition& d) {
-  return d.aggs.size() == 1 && d.finalize->kind == Expr::Kind::kVar &&
-         d.finalize->str_val == "$agg0";
 }
 
 /// Returns a tile oriented so dimension `want_first` of (row, col) comes

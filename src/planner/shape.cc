@@ -15,7 +15,10 @@ Status Err(comp::Pos pos, const std::string& msg) {
   return Status::PlanError(msg + " at " + pos.ToString());
 }
 
-/// Extracts ((i,j),v) / (i,v) generator patterns.
+bool IsVar(const ExprPtr& e) { return e->kind == Expr::Kind::kVar; }
+
+}  // namespace
+
 Result<GenInfo> AnalyzeGenerator(const Qualifier& q) {
   GenInfo g;
   g.pos = q.pos;
@@ -51,10 +54,6 @@ Result<GenInfo> AnalyzeGenerator(const Qualifier& q) {
   }
   return g;
 }
-
-bool IsVar(const ExprPtr& e) { return e->kind == Expr::Kind::kVar; }
-
-}  // namespace
 
 std::optional<QueryShape::IdxRef> QueryShape::FindIndexVar(
     const std::string& v) const {

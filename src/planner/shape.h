@@ -63,6 +63,10 @@ struct QueryShape {
   comp::ExprPtr InlineLets(const comp::ExprPtr& e) const;
 };
 
+/// Extracts a `((i,j),v)` / `(i,v)` generator over a named array; a `_`
+/// value pattern leaves `val` empty. PlanError on any other pattern.
+Result<GenInfo> AnalyzeGenerator(const comp::Qualifier& q);
+
 /// Analyzes a normalized `builder(args)[ (key, val) | quals ]` (or bare
 /// comprehension). Fails with PlanError on shapes outside the supported
 /// fragment; the caller then falls back to a general strategy.

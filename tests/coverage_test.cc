@@ -69,6 +69,16 @@ class CoverageTest : public ::testing::Test {
     }
   }
 
+  /// `src` must fail exactly as the reference evaluator fails on it.
+  void CheckFailsLikeReference(const std::string& src) {
+    auto r = ctx_.Eval(src);
+    auto ref = ctx_.ReferenceEval(src);
+    ASSERT_FALSE(ref.ok()) << src;
+    ASSERT_FALSE(r.ok()) << src;
+    EXPECT_EQ(r.status().code(), ref.status().code()) << src;
+    EXPECT_EQ(r.status().message(), ref.status().message()) << src;
+  }
+
   Sac ctx_;
 };
 
@@ -151,6 +161,23 @@ TEST_F(CoverageTest, TotalAggregations) {
   CheckAgainstReference("min/[ a*a | ((i,j),a) <- A ]");
   CheckAgainstReference("avg/[ a | ((i,j),a) <- A ]");
   CheckAgainstReference("count/[ a | ((i,j),a) <- A, i < 3 ]");
+  CheckAgainstReference("*/[ 1.0 + a/100.0 | ((i,j),a) <- A ]");
+  CheckAgainstReference("max/[ 2.0*u - i | (i,u) <- U, i >= 2 ]");
+  CheckAgainstReference("+/[ u | (_, u) <- U ]");
+  CheckFailsLikeReference("min/[ a | ((i,j),a) <- A, i > 100 ]");
+}
+
+TEST_F(CoverageTest, GroupedMonoidsUnderForcedCoo) {
+  ctx_.options().force_coo = true;
+  for (const std::string src :
+       {"tiled(n)[ (i, min/a) | ((i,j),a) <- A, group by i ]",
+        "tiled(n)[ (j, max/a) | ((i,j),a) <- A, group by j ]",
+        "tiled(n)[ (i, avg/a) | ((i,j),a) <- A, group by i ]"}) {
+    auto q = ctx_.Compile(src);
+    ASSERT_TRUE(q.ok()) << src << " -> " << q.status().ToString();
+    EXPECT_EQ(q.value().strategy, planner::Strategy::kCoo) << src;
+    CheckAgainstReference(src);
+  }
 }
 
 TEST_F(CoverageTest, HadamardAndScaledSum) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/comp/eval.h"
 #include "src/comp/parser.h"
 #include "src/exec/scalar_program.h"
 
@@ -122,9 +123,8 @@ TEST(IntPredTest, NegationAndLiterals) {
 
 // ---- flat postfix programs (src/exec/scalar_program.h) ------------------
 //
-// CompileScalarFn now lowers to a ScalarProgram when the expression fits
-// the postfix instruction set; these pin the program evaluator against
-// the closure-tree semantics above.
+// CompileScalarFn always lowers to a ScalarProgram; these pin the program
+// evaluator against the reference evaluator (src/comp/eval.h).
 
 TEST(ScalarProgramTest, CompilesArithmeticToFlatProgram) {
   ConstEnv consts{{"gamma", 0.5}};
@@ -162,12 +162,16 @@ TEST(ScalarProgramTest, MatchesClosureTreeOnFig4cUpdate) {
   const auto src = "max(min(__gl*p + __tg*g, 5.0), 0.0 - 5.0)";
   auto prog = ScalarProgram::Compile(P(src), {"p", "g"}, consts);
   ASSERT_TRUE(prog.ok()) << prog.status().ToString();
-  auto fn = CompileScalarFn(P(src), {"p", "g"}, consts);
-  ASSERT_TRUE(fn.ok());
   for (double pv : {-3.0, 0.0, 1.5, 4000.0}) {
     for (double gv : {-2.0, 0.25, 100.0}) {
+      comp::Evaluator ev;
+      for (const auto& [name, v] : consts) ev.Bind(name, runtime::VDouble(v));
+      ev.Bind("p", runtime::VDouble(pv));
+      ev.Bind("g", runtime::VDouble(gv));
+      auto want = ev.Eval(P(src));
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
       const double args[2] = {pv, gv};
-      EXPECT_DOUBLE_EQ(prog.value().Eval(args), fn.value()(args));
+      EXPECT_DOUBLE_EQ(prog.value().Eval(args), want.value().AsDouble());
     }
   }
 }
@@ -185,19 +189,18 @@ TEST(ScalarProgramTest, DeepNestingHitsStackGuardNotUb) {
   std::string src = "a";
   for (int i = 0; i < ScalarProgram::kMaxStack + 8; ++i) src = "a + (" + src + ")";
   ConstEnv consts;
+  // Compile never fails on depth: the program records the stack it needs
+  // and Eval gives it a heap stack instead of overrunning the inline one.
   auto p = ScalarProgram::Compile(P(src), {"a"}, consts);
-  // Either the compiler rejects it (falls back to the closure tree) or it
-  // fits; it must never compile a program that overruns the stack.
-  if (p.ok()) {
-    EXPECT_LE(p.value().size(), 4096u);
-    const double args[1] = {1.0};
-    EXPECT_DOUBLE_EQ(p.value().Eval(args),
-                     static_cast<double>(ScalarProgram::kMaxStack + 9));
-  }
-  // The public entry point still compiles it via the fallback.
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  EXPECT_GT(p.value().max_stack(), ScalarProgram::kMaxStack);
+  EXPECT_LE(p.value().size(), 4096u);
+  const double args[1] = {1.0};
+  EXPECT_DOUBLE_EQ(p.value().Eval(args),
+                   static_cast<double>(ScalarProgram::kMaxStack + 9));
+  // The public entry point returns the same program.
   auto f = CompileScalarFn(P(src), {"a"}, consts);
   ASSERT_TRUE(f.ok());
-  const double args[1] = {1.0};
   EXPECT_DOUBLE_EQ(f.value()(args),
                    static_cast<double>(ScalarProgram::kMaxStack + 9));
 }
