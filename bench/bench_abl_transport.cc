@@ -15,11 +15,12 @@
 //
 // `--chaos` switches to the external-cluster kill test: it requires
 // SAC_WORKERS to name running sac_worker processes (scripts/check.sh
-// launches three), runs the same multiply over them, kill -9s one worker
-// the moment wire bytes start flowing, and FAILS unless the final
-// product is still byte-identical to the single-process run with
-// workers_lost >= 1 and partitions_reexecuted > 0 -- the lineage
-// re-execution path, exercised against a real process death.
+// launches three), runs the same multiply over them, kill -9s the worker
+// hosting executor 0 the moment wire bytes start flowing, and FAILS
+// unless the final product is still byte-identical to the
+// single-process run with workers_lost >= 1 and partitions_reexecuted
+// > 0 -- the lineage re-execution path, exercised against a real
+// process death.
 #include "bench/bench_common.h"
 
 #include <signal.h>
@@ -197,7 +198,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "chaos: engine did not come up distributed\n");
     return 2;
   }
-  const int victim = eng.coordinator()->num_workers() - 1;
+  // The victim hosts executor 0. Map tasks push their remote buckets in
+  // destination order starting at partition 0, so this worker holds
+  // buckets from the first puts on and the kill always destroys data;
+  // whether a later worker holds any when the kill lands depends on
+  // where the keys hash.
+  const int victim = eng.coordinator()->WorkerOf(0).value();
   const uint64_t victim_pid = eng.coordinator()->WorkerPid(victim);
   expect(victim_pid > 0, "coordinator never learned the victim's pid");
 

@@ -18,18 +18,13 @@ bool IsNarrow(const PlanNode::Op op) {
 }
 
 /// Bytes one shuffle input contributes to the wire. ReduceByKey combines
-/// map-side: each occupied source partition emits at most one record per
-/// distinct key, and a single-executor-concentrated input occupies one
-/// partition -- which is why the measured reduceByKey stages of the fig4b
-/// 5.3 plan move g^2 tiles, not the g^3 partial products feeding them.
+/// map-side: each source partition emits at most one record per distinct
+/// key it holds.
 double MovedBytes(const PlanNode& n, const SymbolicShape& in) {
   if (!in.known) return in.total_bytes();
   if (n.op == PlanNode::Op::kReduceByKey && in.distinct_keys > 0) {
-    const double occupied =
-        in.spread == SymbolicShape::Spread::kSingleExecutor
-            ? 1.0
-            : static_cast<double>(std::max(in.num_partitions, 1));
-    const double records = std::min(in.records, in.distinct_keys * occupied);
+    const double partitions = std::max(in.num_partitions, 1);
+    const double records = std::min(in.records, in.distinct_keys * partitions);
     return records * in.bytes_per_record;
   }
   return in.total_bytes();
@@ -156,10 +151,8 @@ CostEstimate EstimateCost(const PlanGraph& g, const CostModel& model) {
         const SymbolicShape& is = iit->second;
         const double moved = MovedBytes(n, is);
         c.shuffle_bytes += moved;
-        if (is.spread == SymbolicShape::Spread::kUniform) {
-          c.cross_bytes += moved * static_cast<double>(executors - 1) /
-                           static_cast<double>(executors);
-        }
+        c.cross_bytes += moved * static_cast<double>(executors - 1) /
+                         static_cast<double>(executors);
         map_tasks += is.num_partitions;
       }
       c.local_bytes = c.shuffle_bytes - c.cross_bytes;

@@ -135,12 +135,11 @@ SymbolicShape NarrowShape(const PlanNode& n, const SymbolicShape& in) {
   return s;
 }
 
-void ShuffleDefaults(const PlanNode& n, const SymbolicShape& in,
-                     SymbolicShape* s) {
-  s->spread = SymbolicShape::Spread::kSingleExecutor;
-  s->num_partitions = n.partitioning.num_partitions > 0
-                          ? n.partitioning.num_partitions
-                          : in.num_partitions;
+/// A shuffle's output partition count: the node's pinned count, else
+/// `inherited` from its input(s).
+int ShufflePartitions(const PlanNode& n, int inherited) {
+  return n.partitioning.num_partitions > 0 ? n.partitioning.num_partitions
+                                           : inherited;
 }
 
 }  // namespace
@@ -171,10 +170,6 @@ ShapeMap InferShapes(const PlanGraph& g) {
         s.records = a.records + b.records;
         s.bytes_per_record = std::max(a.bytes_per_record, b.bytes_per_record);
         s.num_partitions = a.num_partitions + b.num_partitions;
-        s.spread = (a.spread == SymbolicShape::Spread::kUniform ||
-                    b.spread == SymbolicShape::Spread::kUniform)
-                       ? SymbolicShape::Spread::kUniform
-                       : SymbolicShape::Spread::kSingleExecutor;
         if (s.known && a.block == b.block && a.grid_cols == b.grid_cols) {
           s.block = a.block;
           s.grid_rows = a.grid_rows + b.grid_rows;
@@ -188,10 +183,8 @@ ShapeMap InferShapes(const PlanGraph& g) {
         break;
       }
       case PlanNode::Op::kJoin: {
-        ShuffleDefaults(n, a, &s);
-        s.num_partitions = n.partitioning.num_partitions > 0
-                               ? n.partitioning.num_partitions
-                               : std::max(a.num_partitions, b.num_partitions);
+        s.num_partitions = ShufflePartitions(
+            n, std::max(a.num_partitions, b.num_partitions));
         s.known = a.known && b.known;
         s.block = std::max(a.block, b.block);
         if (n.label == "joinTiles" && s.known) {
@@ -216,10 +209,8 @@ ShapeMap InferShapes(const PlanGraph& g) {
         break;
       }
       case PlanNode::Op::kCoGroup: {
-        ShuffleDefaults(n, a, &s);
-        s.num_partitions = n.partitioning.num_partitions > 0
-                               ? n.partitioning.num_partitions
-                               : std::max(a.num_partitions, b.num_partitions);
+        s.num_partitions = ShufflePartitions(
+            n, std::max(a.num_partitions, b.num_partitions));
         const PlanNode* src_a = nullptr;
         const PlanNode* src_b = nullptr;
         if (n.label == "cogroupPanels" && n.inputs.size() == 2) {
@@ -265,7 +256,7 @@ ShapeMap InferShapes(const PlanGraph& g) {
         break;
       }
       case PlanNode::Op::kReduceByKey: {
-        ShuffleDefaults(n, a, &s);
+        s.num_partitions = ShufflePartitions(n, a.num_partitions);
         s.known = a.known;
         const double d = a.distinct_keys > 0
                              ? std::min(a.distinct_keys, a.records)
@@ -277,7 +268,7 @@ ShapeMap InferShapes(const PlanGraph& g) {
         break;
       }
       case PlanNode::Op::kGroupByKey: {
-        ShuffleDefaults(n, a, &s);
+        s.num_partitions = ShufflePartitions(n, a.num_partitions);
         s.known = a.known;
         const double d = a.distinct_keys > 0
                              ? std::min(a.distinct_keys, a.records)
@@ -290,7 +281,7 @@ ShapeMap InferShapes(const PlanGraph& g) {
         break;
       }
       case PlanNode::Op::kPartitionBy:
-        ShuffleDefaults(n, a, &s);
+        s.num_partitions = ShufflePartitions(n, a.num_partitions);
         s.known = a.known;
         s.records = a.records;
         s.distinct_keys = a.distinct_keys;

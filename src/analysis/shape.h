@@ -43,17 +43,6 @@ struct SymbolicShape {
   /// node does not pin one).
   int num_partitions = 0;
 
-  /// How the rows are spread over executors. The engine places partition
-  /// p on executor p % E, and the value hasher sends small-integer (and
-  /// small-integer-tuple) keys overwhelmingly to one partition -- so the
-  /// output of any hash shuffle on tile coordinates is effectively
-  /// resident on a single executor, and a chained shuffle from it moves
-  /// bytes locally, not across executors. Sources parallelize round-robin
-  /// and stay uniform. This two-state domain is what makes the
-  /// local/cross split of the PR3 accounting model predictable.
-  enum class Spread { kUniform, kSingleExecutor };
-  Spread spread = Spread::kUniform;
-
   [[nodiscard]] double total_bytes() const { return records * bytes_per_record; }
 };
 

@@ -72,25 +72,43 @@ Result<std::vector<double>> Sac::ToLocal(const storage::BlockVector& v) {
   return storage::ToLocalVector(engine_.get(), v);
 }
 
+void Sac::SetBinding(planner::Bindings* binds, const std::string& name,
+                     std::optional<Binding> next) {
+  auto it = binds->find(name);
+  if (it != binds->end()) {
+    const void* old = it->second.dataset();
+    if (old != nullptr && (!next || next->dataset() != old)) {
+      plan_cache_.DropBinding(name, old);
+    }
+  }
+  if (next) {
+    (*binds)[name] = std::move(*next);
+  } else if (it != binds->end()) {
+    binds->erase(it);
+  }
+}
+
 void Sac::Bind(const std::string& name, storage::TiledMatrix m) {
-  binds_[name] = Binding::Tiled(std::move(m));
+  SetBinding(&binds_, name, Binding::Tiled(std::move(m)));
 }
 void Sac::Bind(const std::string& name, storage::BlockVector v) {
-  binds_[name] = Binding::Vector(std::move(v));
+  SetBinding(&binds_, name, Binding::Vector(std::move(v)));
 }
 void Sac::Bind(const std::string& name, storage::CooMatrix c) {
-  binds_[name] = Binding::Coo(std::move(c));
+  SetBinding(&binds_, name, Binding::Coo(std::move(c)));
 }
 void Sac::BindScalar(const std::string& name, double v) {
-  binds_[name] = Binding::Scalar(Value::Double(v));
+  SetBinding(&binds_, name, Binding::Scalar(Value::Double(v)));
 }
 void Sac::BindScalar(const std::string& name, int64_t v) {
-  binds_[name] = Binding::Scalar(Value::Int(v));
+  SetBinding(&binds_, name, Binding::Scalar(Value::Int(v)));
 }
 void Sac::BindLocal(const std::string& name, Value v) {
-  binds_[name] = Binding::Local(std::move(v));
+  SetBinding(&binds_, name, Binding::Local(std::move(v)));
 }
-void Sac::Unbind(const std::string& name) { binds_.erase(name); }
+void Sac::Unbind(const std::string& name) {
+  SetBinding(&binds_, name, std::nullopt);
+}
 
 Result<comp::ExprPtr> Sac::ParseAndNormalizeWith(
     const std::string& src, const planner::Bindings& binds) {
@@ -144,7 +162,7 @@ Result<std::shared_ptr<const CompiledQuery>> Sac::CompileCachedWith(
   assert(plan_ok.ok() && "compiled plan failed invariant verification");
   SAC_RETURN_NOT_OK(plan_ok);
   if (!key.empty()) {
-    const size_t evicted = plan_cache_.Insert(key, q);
+    const size_t evicted = plan_cache_.Insert(key, binds, q);
     sink.Add(Counter::plan_cache_misses);
     sink.Add(Counter::plan_cache_evictions, evicted);
   }
@@ -404,6 +422,12 @@ std::unique_ptr<Session> Sac::OpenSession(const std::string& name) {
 }
 
 Session::~Session() {
+  // The bindings die with the handle, and so do the plan-cache entries
+  // keyed on them.
+  while (!binds_.empty()) {
+    const std::string name = binds_.begin()->first;
+    owner_->SetBinding(&binds_, name, std::nullopt);
+  }
   // Retire this session's fair-scheduling queue; anything still pending
   // migrates to the default queue. The runtime::Session object itself
   // may outlive us -- datasets hold shared_ptr references to it.
@@ -450,24 +474,26 @@ Result<std::vector<double>> Session::ToLocal(const storage::BlockVector& v) {
 }
 
 void Session::Bind(const std::string& name, storage::TiledMatrix m) {
-  binds_[name] = Binding::Tiled(std::move(m));
+  owner_->SetBinding(&binds_, name, Binding::Tiled(std::move(m)));
 }
 void Session::Bind(const std::string& name, storage::BlockVector v) {
-  binds_[name] = Binding::Vector(std::move(v));
+  owner_->SetBinding(&binds_, name, Binding::Vector(std::move(v)));
 }
 void Session::Bind(const std::string& name, storage::CooMatrix c) {
-  binds_[name] = Binding::Coo(std::move(c));
+  owner_->SetBinding(&binds_, name, Binding::Coo(std::move(c)));
 }
 void Session::BindScalar(const std::string& name, double v) {
-  binds_[name] = Binding::Scalar(Value::Double(v));
+  owner_->SetBinding(&binds_, name, Binding::Scalar(Value::Double(v)));
 }
 void Session::BindScalar(const std::string& name, int64_t v) {
-  binds_[name] = Binding::Scalar(Value::Int(v));
+  owner_->SetBinding(&binds_, name, Binding::Scalar(Value::Int(v)));
 }
 void Session::BindLocal(const std::string& name, Value v) {
-  binds_[name] = Binding::Local(std::move(v));
+  owner_->SetBinding(&binds_, name, Binding::Local(std::move(v)));
 }
-void Session::Unbind(const std::string& name) { binds_.erase(name); }
+void Session::Unbind(const std::string& name) {
+  owner_->SetBinding(&binds_, name, std::nullopt);
+}
 
 Result<QueryResult> Session::Eval(const std::string& src) {
   return owner_->EvalImpl(src, binds_, &predicted_shuffle_bytes_, state_);

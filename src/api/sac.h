@@ -26,6 +26,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -61,9 +62,10 @@ class Sac {
   /// queue on the shared pool, and a resident-byte slice enforced by the
   /// block store. The handle is single-threaded; different sessions may
   /// be driven from different threads concurrently. Destroying the
-  /// handle closes its task queue (pending work migrates to the default
-  /// queue); datasets it produced stay valid as long as someone holds
-  /// them. `memory_budget_bytes` 0 = unlimited slice.
+  /// handle unbinds its names (dropping the plan-cache entries keyed on
+  /// them) and closes its task queue (pending work migrates to the
+  /// default queue); datasets it produced stay valid as long as someone
+  /// holds them. `memory_budget_bytes` 0 = unlimited slice.
   std::unique_ptr<Session> OpenSession(const std::string& name,
                                        uint64_t memory_budget_bytes);
   /// Same, with the slice defaulted from ClusterConfig::
@@ -125,6 +127,9 @@ class Sac {
   Result<std::vector<double>> ToLocal(const storage::BlockVector& v);
 
   // ---- bindings -----------------------------------------------------------
+  /// Unbinding a distributed name, or rebinding it to another dataset,
+  /// drops the plan-cache entries keyed on the old dataset, so the cache
+  /// never keeps an unbound dataset alive (plan_cache.h).
   void Bind(const std::string& name, storage::TiledMatrix m);
   void Bind(const std::string& name, storage::BlockVector v);
   void Bind(const std::string& name, storage::CooMatrix c);
@@ -213,6 +218,14 @@ class Sac {
   void RecordPredictions(const planner::CompiledQuery& q,
                          const planner::Bindings& binds,
                          std::map<std::string, double>* predicted);
+
+  /// The one path every Bind*/Unbind of Sac and Session takes: sets
+  /// `name` in `binds` to `next` (nullopt unbinds). When that replaces
+  /// or removes a distributed binding with a different dataset, every
+  /// plan-cache entry keyed on the old (name, dataset) pair is dropped
+  /// (the lifetime rule in plan_cache.h).
+  void SetBinding(planner::Bindings* binds, const std::string& name,
+                  std::optional<planner::Binding> next);
 
   /// ParseAndNormalize against an explicit binding namespace.
   Result<comp::ExprPtr> ParseAndNormalizeWith(const std::string& src,

@@ -68,6 +68,20 @@ struct Binding {
     return kind == Kind::kTiled || kind == Kind::kBlockVector ||
            kind == Kind::kCoo;
   }
+  /// Identity of the backing distributed dataset; nullptr for scalar and
+  /// local bindings. The plan cache keys entries on it.
+  const void* dataset() const {
+    switch (kind) {
+      case Kind::kTiled:
+        return tiled.tiles.get();
+      case Kind::kBlockVector:
+        return vec.blocks.get();
+      case Kind::kCoo:
+        return coo.entries.get();
+      default:
+        return nullptr;
+    }
+  }
 };
 
 using Bindings = std::unordered_map<std::string, Binding>;

@@ -45,17 +45,16 @@ void AppendBinding(std::ostringstream* os, const std::string& name,
       break;
     case Binding::Kind::kTiled:
       *os << "t=" << b.tiled.rows << 'x' << b.tiled.cols << '/'
-          << b.tiled.block << '@' << b.tiled.tiles.get();
+          << b.tiled.block;
       break;
     case Binding::Kind::kBlockVector:
-      *os << "v=" << b.vec.size << '/' << b.vec.block << '@'
-          << b.vec.blocks.get();
+      *os << "v=" << b.vec.size << '/' << b.vec.block;
       break;
     case Binding::Kind::kCoo:
-      *os << "c=" << b.coo.rows << 'x' << b.coo.cols << '@'
-          << b.coo.entries.get();
+      *os << "c=" << b.coo.rows << 'x' << b.coo.cols;
       break;
   }
+  if (const void* ds = b.dataset()) *os << '@' << ds;
 }
 
 }  // namespace
@@ -98,7 +97,7 @@ std::shared_ptr<const CompiledQuery> PlanCache::Lookup(
   return it->second.query;
 }
 
-size_t PlanCache::Insert(const std::string& key,
+size_t PlanCache::Insert(const std::string& key, const Bindings& binds,
                          std::shared_ptr<const CompiledQuery> query) {
   if (key.empty() || query == nullptr) return 0;
   std::lock_guard<std::mutex> lock(mu_);
@@ -110,15 +109,33 @@ size_t PlanCache::Insert(const std::string& key,
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return 0;
   }
+  std::vector<std::pair<std::string, const void*>> datasets;
+  for (const auto& [name, b] : binds) {
+    if (const void* ds = b.dataset()) datasets.emplace_back(name, ds);
+  }
   lru_.push_front(key);
-  map_.emplace(key, Entry{std::move(query), lru_.begin()});
+  map_.emplace(key,
+               Entry{std::move(query), lru_.begin(), std::move(datasets)});
   return EvictToCapacityLocked();
 }
 
-void PlanCache::Clear() {
+size_t PlanCache::DropBinding(const std::string& name, const void* dataset) {
+  const std::pair<std::string, const void*> binding(name, dataset);
+  // Released after the lock: the last reference to a plan may free
+  // datasets, and other sessions should not wait on that teardown.
+  std::vector<std::shared_ptr<const CompiledQuery>> dropped;
   std::lock_guard<std::mutex> lock(mu_);
-  map_.clear();
-  lru_.clear();
+  for (auto it = map_.begin(); it != map_.end();) {
+    const auto& ds = it->second.datasets;
+    if (std::find(ds.begin(), ds.end(), binding) == ds.end()) {
+      ++it;
+      continue;
+    }
+    dropped.push_back(std::move(it->second.query));
+    lru_.erase(it->second.lru_it);
+    it = map_.erase(it);
+  }
+  return dropped.size();
 }
 
 size_t PlanCache::set_capacity(size_t capacity) {

@@ -5,13 +5,18 @@
 // Keying: a cache key is the whitespace-normalized comprehension text
 // plus a per-binding shape signature plus the planner options that can
 // change the chosen plan. Distributed bindings contribute their extents
-// AND the identity of their backing dataset: the cached run closure
-// holds shared_ptr copies of those datasets (keeping them alive for as
-// long as the entry does, so an address can never be reused while its
-// key is live), which makes pointer identity a sound fingerprint and
-// rebinding a name to a new matrix a natural cache invalidation. Queries
-// with kLocal bindings are uncacheable (local values feed the plan by
-// value; there is no cheap identity) and report an empty key.
+// AND the identity (address) of their backing dataset. Queries with
+// kLocal bindings are uncacheable (local values feed the plan by value;
+// there is no cheap identity) and report an empty key.
+//
+// Lifetime rule: an entry never outlives a binding in its key. Whoever
+// unbinds a distributed name, rebinds it to a different dataset, or
+// drops it with its session calls DropBinding(name, old dataset), which
+// removes every entry whose key binds that name to that dataset. So a
+// live key only names datasets that are still bound (hence alive), an
+// address in a key cannot be reused by a new dataset while the key is
+// live, and the cache pins no dataset its clients have let go of.
+// Re-binding the same dataset after an unbind therefore compiles again.
 //
 // Replacement is LRU over a fixed entry capacity (capacity 0 disables
 // the cache). Thread-safe; hit/miss/eviction metering is the caller's
@@ -25,6 +30,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "src/planner/plan.h"
 
@@ -51,13 +57,16 @@ class PlanCache {
   /// (or when `key` is empty / the cache is disabled).
   std::shared_ptr<const CompiledQuery> Lookup(const std::string& key);
 
-  /// Caches `query` under `key` (no-op for empty keys or capacity 0) and
-  /// returns how many LRU entries were evicted to make room.
-  size_t Insert(const std::string& key,
+  /// Caches `query` under `key`, the PlanCacheKey of (src, `binds`,
+  /// options), remembering which datasets `binds` names so DropBinding
+  /// can find the entry. No-op for empty keys or capacity 0. Returns how
+  /// many LRU entries were evicted to make room.
+  size_t Insert(const std::string& key, const Bindings& binds,
                 std::shared_ptr<const CompiledQuery> query);
 
-  /// Drops every entry (and the dataset references the entries hold).
-  void Clear();
+  /// Drops every entry whose key binds `name` to `dataset` (a
+  /// Binding::dataset()); returns how many were dropped.
+  size_t DropBinding(const std::string& name, const void* dataset);
 
   /// Resizes the cache; shrinking evicts LRU entries immediately and 0
   /// disables caching. Returns the number of entries evicted.
@@ -76,6 +85,8 @@ class PlanCache {
   struct Entry {
     std::shared_ptr<const CompiledQuery> query;
     std::list<std::string>::iterator lru_it;
+    // The (name, dataset) pairs of the key's distributed bindings.
+    std::vector<std::pair<std::string, const void*>> datasets;
   };
 
   /// Evicts LRU entries until size fits capacity. Caller holds mu_.

@@ -72,6 +72,16 @@ void CollectScalarConsts(const Bindings& binds, ConstEnv* out) {
   }
 }
 
+Bindings BindingsNamed(const Bindings& binds,
+                       const std::vector<std::string>& names) {
+  Bindings out;
+  for (const std::string& name : names) {
+    auto it = binds.find(name);
+    if (it != binds.end()) out.insert(*it);
+  }
+  return out;
+}
+
 namespace {
 
 Result<const Binding*> GetBinding(const Bindings& binds,
@@ -931,26 +941,17 @@ Result<CompiledQuery> CompileQuery(const ExprPtr& query,
                                    const Bindings& binds,
                                    const PlannerOptions& opts) {
   // Queries with no distributed inputs evaluate locally.
-  bool any_distributed = false;
-  for (const std::string& v : comp::FreeVars(query)) {
-    auto it = binds.find(v);
-    if (it != binds.end() && it->second.is_distributed()) {
-      any_distributed = true;
-    }
-  }
+  const Bindings named = BindingsNamed(binds, comp::FreeVars(query));
+  const bool any_distributed =
+      std::any_of(named.begin(), named.end(),
+                  [](const auto& kv) { return kv.second.is_distributed(); });
   if (!any_distributed) {
     CompiledQuery q;
     q.strategy = Strategy::kLocal;
     q.explanation = "no distributed inputs; reference evaluation";
-    const Bindings local_binds = binds;
-    q.run = [query, local_binds](Engine*) -> Result<QueryResult> {
+    q.run = [query, named](Engine*) -> Result<QueryResult> {
       comp::Evaluator ev;
-      for (const auto& [name, b] : local_binds) {
-        if (b.kind == Binding::Kind::kScalar ||
-            b.kind == Binding::Kind::kLocal) {
-          ev.Bind(name, b.value);
-        }
-      }
+      for (const auto& [name, b] : named) ev.Bind(name, b.value);
       SAC_ASSIGN_OR_RETURN(Value v, ev.Eval(query));
       QueryResult r;
       r.kind = QueryResult::Kind::kValue;

@@ -133,6 +133,12 @@ Result<int64_t> EvalScalarInt(const comp::ExprPtr& e, const Bindings& binds);
 void CollectScalarConsts(const Bindings& binds,
                          std::unordered_map<std::string, double>* out);
 
+/// The entries of `binds` whose names appear in `names`: what a run
+/// closure captures, so a compiled plan keeps alive only the datasets
+/// its query reads.
+Bindings BindingsNamed(const Bindings& binds,
+                       const std::vector<std::string>& names);
+
 }  // namespace sac::planner
 
 #endif  // SAC_PLANNER_PLANNER_H_

@@ -393,7 +393,9 @@ Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
   }
 
   const QueryShape sh = shape;  // captured copies
-  const Bindings bnds = binds;
+  std::vector<std::string> sources;
+  for (const auto& g : shape.gens) sources.push_back(g.source);
+  const Bindings bnds = BindingsNamed(binds, sources);
   const std::vector<CooAgg> aggs_c = aggs;
   const std::vector<IntFn> key_fns_c = key_fns;
   const std::vector<PredFn> preds_c = preds;
@@ -654,25 +656,35 @@ Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
 Result<CompiledQuery> LocalFallbackPlan(const comp::ExprPtr& query,
                                         const Bindings& binds,
                                         const PlannerOptions& opts) {
-  // Total cells across the distributed inputs this query mentions.
+  // Only the bindings the query names: the run closure captures them, so
+  // the plan (and a plan-cache entry holding it) pins nothing else.
+  const std::vector<std::string> free_vars = comp::FreeVars(query);
+  const Bindings bnds = BindingsNamed(binds, free_vars);
+  // Total cells across the distributed inputs this query mentions; the
+  // result takes its block size from the first tiled or vector one.
   int64_t cells = 0;
-  for (const std::string& v : comp::FreeVars(query)) {
-    auto it = binds.find(v);
-    if (it == binds.end()) continue;
-    switch (it->second.kind) {
+  int64_t block = 0;
+  for (const std::string& v : free_vars) {
+    auto it = bnds.find(v);
+    if (it == bnds.end()) continue;
+    const Binding& b = it->second;
+    switch (b.kind) {
       case Binding::Kind::kTiled:
-        cells += it->second.tiled.rows * it->second.tiled.cols;
+        cells += b.tiled.rows * b.tiled.cols;
+        if (block == 0) block = b.tiled.block;
         break;
       case Binding::Kind::kBlockVector:
-        cells += it->second.vec.size;
+        cells += b.vec.size;
+        if (block == 0) block = b.vec.block;
         break;
       case Binding::Kind::kCoo:
-        cells += it->second.coo.rows * it->second.coo.cols;
+        cells += b.coo.rows * b.coo.cols;
         break;
       default:
         break;
     }
   }
+  if (block == 0) block = 64;
   if (cells > opts.local_fallback_max_cells) {
     return Status::PlanError(
         "local fallback refused: inputs have " + std::to_string(cells) +
@@ -680,7 +692,6 @@ Result<CompiledQuery> LocalFallbackPlan(const comp::ExprPtr& query,
         ")");
   }
 
-  const Bindings bnds = binds;
   const comp::ExprPtr qy = query;
   CompiledQuery q;
   q.strategy = Strategy::kLocalFallback;
@@ -689,9 +700,9 @@ Result<CompiledQuery> LocalFallbackPlan(const comp::ExprPtr& query,
   {
     PlanBuilder pb(query->pos);
     std::vector<PlanNodePtr> srcs;
-    for (const std::string& v : comp::FreeVars(query)) {
-      auto bit = binds.find(v);
-      if (bit == binds.end() || !bit->second.is_distributed()) continue;
+    for (const std::string& v : free_vars) {
+      auto bit = bnds.find(v);
+      if (bit == bnds.end() || !bit->second.is_distributed()) continue;
       const int key = bit->second.kind == Binding::Kind::kBlockVector ? 1 : 2;
       srcs.push_back(pb.Source(v, key, query->pos));
     }
@@ -700,9 +711,8 @@ Result<CompiledQuery> LocalFallbackPlan(const comp::ExprPtr& query,
       q.plan_nodes = pb.TakeNodes();
     }
   }
-  q.run = [qy, bnds](Engine* eng) -> Result<QueryResult> {
+  q.run = [qy, bnds, block](Engine* eng) -> Result<QueryResult> {
     comp::Evaluator ev;
-    int64_t block = 64;
     for (const auto& [name, b] : bnds) {
       switch (b.kind) {
         case Binding::Kind::kScalar:
@@ -713,7 +723,6 @@ Result<CompiledQuery> LocalFallbackPlan(const comp::ExprPtr& query,
           SAC_ASSIGN_OR_RETURN(ValueVec rows,
                                storage::SparsifyLocal(eng, b.tiled));
           ev.Bind(name, Value::List(std::move(rows)));
-          block = b.tiled.block;
           break;
         }
         case Binding::Kind::kBlockVector: {
@@ -725,7 +734,6 @@ Result<CompiledQuery> LocalFallbackPlan(const comp::ExprPtr& query,
                                  runtime::VDouble(vec[i])));
           }
           ev.Bind(name, Value::List(std::move(rows)));
-          block = b.vec.block;
           break;
         }
         case Binding::Kind::kCoo: {

@@ -13,12 +13,26 @@ namespace {
 uint64_t HashCombine(uint64_t seed, uint64_t v) {
   return seed ^ (v + 0x9E3779B97F4A7C15ULL + (seed << 12) + (seed >> 4));
 }
+// The raw bits of a double; equal values give equal bits. Small integers
+// and index tuples leave the low bits all zero here, so Value::Hash()
+// must finalize before anyone reduces it modulo a partition count.
 uint64_t HashDouble(double d) {
   // Normalize -0.0 so equal values hash equally.
   if (d == 0.0) d = 0.0;
   uint64_t bits;
   std::memcpy(&bits, &d, sizeof(bits));
-  return bits * 0xC2B2AE3D27D4EB4FULL;
+  return bits;
+}
+// MurmurHash3's fmix64 finalizer: every input bit flips each output bit
+// with probability ~1/2, so `Hash() % P` spreads keys over every
+// partition for any P, powers of two included.
+uint64_t Fmix64(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ULL;
+  h ^= h >> 33;
+  return h;
 }
 }  // namespace
 
@@ -190,50 +204,54 @@ int Value::Compare(const Value& other) const {
 }
 
 uint64_t Value::Hash() const {
+  uint64_t h = 0;
   switch (kind()) {
     case Kind::kUnit:
-      return 0x51CE0FF5ULL;
+      h = 0x51CE0FF5ULL;
+      break;
     case Kind::kInt:
-      return HashDouble(static_cast<double>(std::get<int64_t>(repr_)));
+      h = HashDouble(static_cast<double>(std::get<int64_t>(repr_)));
+      break;
     case Kind::kDouble:
-      return HashDouble(std::get<double>(repr_));
+      h = HashDouble(std::get<double>(repr_));
+      break;
     case Kind::kBool:
-      return std::get<bool>(repr_) ? 0xB001B001ULL : 0xB000B000ULL;
-    case Kind::kString: {
-      uint64_t h = 14695981039346656037ULL;
+      h = std::get<bool>(repr_) ? 0xB001B001ULL : 0xB000B000ULL;
+      break;
+    case Kind::kString:
+      h = 14695981039346656037ULL;
       for (char c : AsString()) {
         h = (h ^ static_cast<uint8_t>(c)) * 1099511628211ULL;
       }
-      return h;
-    }
+      break;
     case Kind::kTuple:
     case Kind::kList: {
       const ValueVec& v = is_tuple() ? AsTuple() : AsList();
-      uint64_t h = is_tuple() ? 0x7u : 0x1Fu;
+      h = is_tuple() ? 0x7u : 0x1Fu;
       for (const Value& e : v) h = HashCombine(h, e.Hash());
-      return h;
+      break;
     }
     case Kind::kTile: {
       const la::Tile& t = AsTile();
-      uint64_t h = HashCombine(static_cast<uint64_t>(t.rows()),
-                               static_cast<uint64_t>(t.cols()));
+      h = HashCombine(static_cast<uint64_t>(t.rows()),
+                      static_cast<uint64_t>(t.cols()));
       for (int64_t i = 0; i < t.size(); ++i) {
         h = HashCombine(h, HashDouble(t.data()[i]));
       }
-      return h;
+      break;
     }
     case Kind::kSparseTile: {
       const la::SparseTile& t = AsSparseTile();
-      uint64_t h = HashCombine(static_cast<uint64_t>(t.rows()),
-                               static_cast<uint64_t>(t.cols()));
+      h = HashCombine(static_cast<uint64_t>(t.rows()),
+                      static_cast<uint64_t>(t.cols()));
       for (size_t i = 0; i < t.values().size(); ++i) {
         h = HashCombine(h, static_cast<uint64_t>(t.col_idx()[i]));
         h = HashCombine(h, HashDouble(t.values()[i]));
       }
-      return h;
+      break;
     }
   }
-  return 0;
+  return Fmix64(h);
 }
 
 std::string Value::ToString() const {

@@ -89,7 +89,11 @@ class Value {
   /// Total order used for deterministic sorting in tests and group output.
   /// Orders first by kind, then by content.
   int Compare(const Value& other) const;
-  /// Stable structural hash (used by the shuffle partitioner).
+  /// Stable structural hash, and the shuffle partitioner's only one: a row
+  /// goes to partition `Hash() % P`. Values that compare equal hash equal
+  /// (Int(5) and Double(5.0), -0.0 and 0.0), and the result is finalized
+  /// (fmix64) so small-integer and index-tuple keys spread over every
+  /// partition.
   uint64_t Hash() const;
 
   std::string ToString() const;

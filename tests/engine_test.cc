@@ -1,6 +1,8 @@
 #include "src/runtime/engine.h"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -265,6 +267,94 @@ TEST_F(EngineTest, DeterministicReduceOrderAcrossRuns) {
     EXPECT_TRUE(a[i].Equals(b[i])) << a[i].ToString() << " vs "
                                    << b[i].ToString();
   }
+}
+
+// ---- partition balance -----------------------------------------------------
+
+/// Records in each partition of `ds` (one MapPartitions row per partition).
+std::vector<int64_t> PartitionSizes(Engine* eng, const Dataset& ds) {
+  auto sizes = eng->MapPartitions(ds, [](const Partition& in, Partition* out) {
+    out->push_back(VInt(static_cast<int64_t>(in.size())));
+    return Status::OK();
+  });
+  std::vector<int64_t> out;
+  if (!sizes.ok()) return out;
+  const ValueVec rows = eng->Collect(sizes.value()).value();
+  for (const Value& v : rows) out.push_back(v.AsInt());
+  return out;
+}
+
+void ExpectSpread(Engine* eng, const Result<Dataset>& ds,
+                  const std::string& stage) {
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  const std::vector<int64_t> sizes = PartitionSizes(eng, ds.value());
+  const int p = ds.value()->num_partitions();
+  ASSERT_EQ(static_cast<int>(sizes.size()), p);
+  const auto occupied = std::count_if(sizes.begin(), sizes.end(),
+                                      [](int64_t n) { return n > 0; });
+  EXPECT_GE(2 * occupied, p) << stage << ": rows in " << occupied << " of "
+                             << p << " partitions";
+}
+
+// The Figure 4.B multiply over a 16x16 tile grid on 4 executors, as both
+// plans run it: the 5.3 join on k + reduceByKey on (i,j), and the 5.4
+// replicate + cogroup on (i,j). Every shuffle stage must put rows into at
+// least half the partitions, or it runs as a handful of tasks whatever
+// the core count. Records, not time, so the check is deterministic.
+TEST(EnginePartitionTest, Fig4bMultiplySpreadsEveryShuffleStage) {
+  constexpr int64_t kGrid = 16;
+  Engine eng(ClusterConfig{4, 1, 8});
+  ValueVec a_rows, b_rows;
+  for (int64_t i = 0; i < kGrid; ++i) {
+    for (int64_t j = 0; j < kGrid; ++j) {
+      a_rows.push_back(VPair(VIdx2(i, j), VDouble(1.0)));
+      b_rows.push_back(VPair(VIdx2(i, j), VDouble(2.0)));
+    }
+  }
+  Dataset a = eng.Parallelize(std::move(a_rows));
+  Dataset b = eng.Parallelize(std::move(b_rows));
+  auto add = [](const Value& x, const Value& y) {
+    return VDouble(x.AsDouble() + y.AsDouble());
+  };
+
+  // 5.3: key A by its column and B by its row, join, reduce the products.
+  auto a_by_k = eng.Map(a, [](const Value& r) {
+    return VPair(r.At(0).At(1), VPair(r.At(0).At(0), r.At(1)));
+  });
+  auto b_by_k = eng.Map(b, [](const Value& r) {
+    return VPair(r.At(0).At(0), VPair(r.At(0).At(1), r.At(1)));
+  });
+  ASSERT_TRUE(a_by_k.ok() && b_by_k.ok());
+  auto joined = eng.Join(a_by_k.value(), b_by_k.value());
+  ExpectSpread(&eng, joined, "join");
+  auto products = eng.Map(joined.value(), [](const Value& r) {
+    const Value& ai = r.At(1).At(0);
+    const Value& bj = r.At(1).At(1);
+    return VPair(VTuple({ai.At(0), bj.At(0)}),
+                 VDouble(ai.At(1).AsDouble() * bj.At(1).AsDouble()));
+  });
+  ASSERT_TRUE(products.ok());
+  auto reduced = eng.ReduceByKey(products.value(), add);
+  ExpectSpread(&eng, reduced, "reduceByKey");
+  const ValueVec sums = eng.Collect(reduced.value()).value();
+  EXPECT_EQ(static_cast<int64_t>(sums.size()), kGrid * kGrid);
+  for (const Value& row : sums) EXPECT_EQ(row.At(1).AsDouble(), 2.0 * kGrid);
+
+  // 5.4: replicate each tile to the output cells it feeds, cogroup.
+  auto a_rep = eng.FlatMap(a, [](const Value& r, ValueVec* out) {
+    for (int64_t j = 0; j < kGrid; ++j) {
+      out->push_back(VPair(VIdx2(r.At(0).At(0).AsInt(), j), r.At(1)));
+    }
+  });
+  auto b_rep = eng.FlatMap(b, [](const Value& r, ValueVec* out) {
+    for (int64_t i = 0; i < kGrid; ++i) {
+      out->push_back(VPair(VIdx2(i, r.At(0).At(1).AsInt()), r.At(1)));
+    }
+  });
+  ASSERT_TRUE(a_rep.ok() && b_rep.ok());
+  auto cogrouped = eng.CoGroup(a_rep.value(), b_rep.value());
+  ExpectSpread(&eng, cogrouped, "cogroup");
+  EXPECT_EQ(eng.Count(cogrouped.value()).value(), kGrid * kGrid);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // every strategy is exercised through the public API and validated against
 // the reference evaluator (the oracle) on the same inputs.
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -356,6 +359,40 @@ TEST_F(PlannerTest, SmoothingFallsBackAndMatchesReference) {
   for (int64_t i = 0; i < local.size(); ++i) {
     ASSERT_NEAR(local.data()[i], ref.AsTile().data()[i], kTol);
   }
+}
+
+TEST_F(PlannerTest, LocalPlansReadOnlyTheBindingsTheyName) {
+  ctx_.Bind("M", ctx_.RandomMatrix(12, 12, 4, 37).value());
+  ctx_.BindScalar("n", int64_t{12});
+  ctx_.BindScalar("m", int64_t{12});
+  // Unused matrices of other block sizes, held only by their bindings.
+  std::vector<std::weak_ptr<runtime::DatasetImpl>> unused;
+  for (const int64_t block : {3, 6, 12}) {
+    storage::TiledMatrix z = ctx_.RandomMatrix(12, 12, block, 40).value();
+    unused.push_back(z.tiles);
+    ctx_.Bind("Z" + std::to_string(block), std::move(z));
+  }
+  const std::string smooth =
+      "tiled(n,m)[ ((ii,jj), (+/a)/a.length) | ((i,j),a) <- M,"
+      " ii <- (i-1) to (i+1), jj <- (j-1) to (j+1),"
+      " ii >= 0, ii < n, jj >= 0, jj < m, group by (ii,jj) ]";
+  auto fallback = ctx_.Compile(smooth);
+  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
+  ASSERT_EQ(fallback.value().strategy, Strategy::kLocalFallback);
+  auto local = ctx_.Compile("+/[ i*i | i <- 0 until n ]");
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  ASSERT_EQ(local.value().strategy, Strategy::kLocal);
+
+  // The result keeps its input's block, whatever else is bound.
+  auto r = fallback.value().run(&ctx_.engine());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().tiled.block, 4);
+
+  // Neither plan keeps the unused matrices alive.
+  for (const int64_t block : {3, 6, 12}) {
+    ctx_.Unbind("Z" + std::to_string(block));
+  }
+  for (const auto& z : unused) EXPECT_TRUE(z.expired());
 }
 
 TEST_F(PlannerTest, PurelyLocalQueriesEvaluateLocally) {

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -268,6 +269,111 @@ TEST(SessionTest, PlanCacheKeySemantics) {
   // kLocal bindings make the query uncacheable: empty key.
   binds["v"] = planner::Binding::Local(runtime::Value::Double(2.0));
   EXPECT_EQ(planner::PlanCacheKey("x + y", binds, options), "");
+}
+
+// ---- plan-cache lifetime ---------------------------------------------------
+//
+// A cache entry never outlives a binding in its key: once the client has
+// unbound a dataset (and dropped every result), the cache must not keep
+// it alive. Each test holds only a weak_ptr to the bound dataset.
+
+constexpr const char* kScale = "tiled(n,n)[ ((i,j), 2.0*a) | ((i,j),a) <- A ]";
+
+template <typename Ctx>
+std::weak_ptr<runtime::DatasetImpl> BindFresh(Ctx* ctx, uint64_t seed) {
+  storage::TiledMatrix m = ctx->RandomMatrix(32, 32, 16, seed).value();
+  std::weak_ptr<runtime::DatasetImpl> held = m.tiles;
+  ctx->Bind("A", std::move(m));
+  return held;
+}
+
+TEST(PlanCacheTest, SacUnbindReleasesDataset) {
+  Sac ctx(SmallCluster());
+  ctx.BindScalar("n", int64_t{32});
+  const auto held = BindFresh(&ctx, 1);
+  ASSERT_TRUE(ctx.EvalTiled(kScale).ok());
+  // Unchanged binding, and the same dataset bound again: both still hit.
+  ASSERT_TRUE(ctx.EvalTiled(kScale).ok());
+  ctx.Bind("A", storage::TiledMatrix(ctx.bindings().at("A").tiled));
+  ASSERT_TRUE(ctx.EvalTiled(kScale).ok());
+  MetricsSnapshot snap = ctx.metrics().Snapshot();
+  EXPECT_EQ(snap.plan_cache_misses, 1u);
+  EXPECT_EQ(snap.plan_cache_hits, 2u);
+  EXPECT_FALSE(held.expired());
+
+  ctx.Unbind("A");
+  EXPECT_TRUE(held.expired());
+  EXPECT_EQ(ctx.plan_cache().size(), 0u);
+}
+
+TEST(PlanCacheTest, RebindReleasesOldDataset) {
+  Sac ctx(SmallCluster());
+  ctx.BindScalar("n", int64_t{32});
+  const auto first = BindFresh(&ctx, 1);
+  ASSERT_TRUE(ctx.EvalTiled(kScale).ok());
+  const auto second = BindFresh(&ctx, 2);
+  EXPECT_TRUE(first.expired());
+  ASSERT_TRUE(ctx.EvalTiled(kScale).ok());
+  EXPECT_FALSE(second.expired());
+  EXPECT_EQ(ctx.metrics().Snapshot().plan_cache_misses, 2u);
+}
+
+TEST(PlanCacheTest, SessionUnbindReleasesDataset) {
+  Sac ctx(SmallCluster());
+  auto s = ctx.OpenSession("client");
+  s->BindScalar("n", int64_t{32});
+  const auto held = BindFresh(s.get(), 1);
+  ASSERT_TRUE(s->EvalTiled(kScale).ok());
+  ASSERT_TRUE(s->EvalTiled(kScale).ok());
+  EXPECT_EQ(s->metrics().Snapshot().plan_cache_hits, 1u);
+  EXPECT_FALSE(held.expired());
+  s->Unbind("A");
+  EXPECT_TRUE(held.expired());
+}
+
+TEST(PlanCacheTest, SessionDestructionReleasesDataset) {
+  Sac ctx(SmallCluster());
+  std::weak_ptr<runtime::DatasetImpl> held;
+  {
+    auto s = ctx.OpenSession("client");
+    s->BindScalar("n", int64_t{32});
+    held = BindFresh(s.get(), 1);
+    ASSERT_TRUE(s->EvalTiled(kScale).ok());
+    EXPECT_FALSE(held.expired());
+  }
+  EXPECT_TRUE(held.expired());
+  EXPECT_EQ(ctx.plan_cache().size(), 0u);
+}
+
+// Drops run under the cache mutex while other sessions look up, compile
+// and insert (part of the tsan suite via *PlanCache*).
+TEST(PlanCacheTest, ConcurrentRebindsAndCompiles) {
+  constexpr int kSessions = 3, kRounds = 8;
+  Sac ctx(SmallCluster());
+  std::vector<std::unique_ptr<Session>> sessions;
+  for (int c = 0; c < kSessions; ++c) {
+    sessions.push_back(ctx.OpenSession("client-" + std::to_string(c)));
+  }
+  std::vector<std::thread> clients;
+  std::atomic<int> failures{0};
+  for (int c = 0; c < kSessions; ++c) {
+    clients.emplace_back([s = sessions[c].get(), &failures, c] {
+      s->BindScalar("n", int64_t{32});
+      for (int r = 0; r < kRounds; ++r) {
+        BindFresh(s, 100 * c + r);
+        if (!s->EvalTiled(kScale).ok()) ++failures;
+        if (!s->EvalTiled(kScale).ok()) ++failures;
+        if (r % 2 == 1) s->Unbind("A");
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  // Once every session is gone, no entry may pin a dataset.
+  sessions.clear();
+  EXPECT_EQ(ctx.plan_cache().size(), 0u);
+  const MetricsSnapshot snap = ctx.metrics().Snapshot();
+  EXPECT_EQ(snap.plan_cache_hits, static_cast<uint64_t>(kSessions * kRounds));
 }
 
 // ---- admission gate --------------------------------------------------------

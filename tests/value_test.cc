@@ -1,5 +1,7 @@
 #include "src/runtime/value.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
@@ -112,6 +114,35 @@ TEST(ValueTest, ToStringFormats) {
 TEST(ValueTest, NegativeZeroHashesLikeZero) {
   EXPECT_EQ(VDouble(-0.0).Hash(), VDouble(0.0).Hash());
   EXPECT_TRUE(VDouble(-0.0).Equals(VDouble(0.0)));
+}
+
+// The shuffle routes a row to partition Hash() % P. Tile keys are small
+// integers and (i,j) tuples, so the hash must spread exactly those over
+// every partition count the engine uses, powers of two included.
+void ExpectBalanced(const std::vector<Value>& keys, int p) {
+  std::vector<int> counts(p, 0);
+  for (const Value& k : keys) ++counts[k.Hash() % static_cast<uint64_t>(p)];
+  const double mean = static_cast<double>(keys.size()) / p;
+  for (int d = 0; d < p; ++d) {
+    EXPECT_GT(counts[d], 0) << "partition " << d << " of " << p << " empty";
+    EXPECT_LE(counts[d], 1.5 * mean)
+        << "partition " << d << " of " << p << " holds " << counts[d]
+        << " of " << keys.size() << " keys";
+  }
+}
+
+TEST(ValueTest, IntKeysFillEveryPartition) {
+  std::vector<Value> keys;
+  for (int64_t i = 0; i < 256; ++i) keys.push_back(VInt(i));
+  for (int p : {2, 3, 4, 6, 8, 16}) ExpectBalanced(keys, p);
+}
+
+TEST(ValueTest, TileGridKeysFillEveryPartition) {
+  std::vector<Value> keys;
+  for (int64_t i = 0; i < 32; ++i) {
+    for (int64_t j = 0; j < 32; ++j) keys.push_back(VIdx2(i, j));
+  }
+  for (int p : {2, 3, 4, 6, 8, 16}) ExpectBalanced(keys, p);
 }
 
 }  // namespace
